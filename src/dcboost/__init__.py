@@ -41,7 +41,6 @@ from dcboost.problems import (
     load_points_csv,
 )
 from dcboost.bench import (
-    ExperimentSpec,
     MultiStartReport,
     classify_limit_point,
     run_pairwise_mssc,
@@ -81,7 +80,6 @@ __all__ = [
     "MsscProblem",
     "generate_blobs",
     "load_points_csv",
-    "ExperimentSpec",
     "MultiStartReport",
     "classify_limit_point",
     "run_pairwise_mssc",

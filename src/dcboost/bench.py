@@ -4,21 +4,21 @@ Runs the solvers from seeded random starts, classifies limit points
 against known references, and aggregates basin counts and paired
 objective comparisons.  Determinism contract: every start draws its own
 random substream keyed by ``(seed, start_index)``, so reports are
-bitwise identical for a given spec regardless of execution order or the
-number of workers.  Wall times are measured and carried in the report
+bitwise identical for given arguments regardless of execution order or
+the number of workers.  Wall times are measured and carried in the report
 but are the one field excluded from that contract.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from dcboost.core import RunResult, SolverParams, Termination
+from dcboost.core import Record, RunResult, SolverParams, Termination, timing
 from dcboost.problems.example2d import CRITICAL_POINTS, Example2dProblem
 from dcboost.problems.mssc import ClusterData, MsscProblem
 from dcboost.solvers import run_bdca, run_bdca_plus, run_dca
@@ -27,7 +27,6 @@ from dcboost.spanning import PositiveSpanningSet, make_d1, make_d2, make_d3
 __all__ = [
     "ALGORITHMS",
     "TABLE1_BOX",
-    "ExperimentSpec",
     "StartSummary",
     "PairRow",
     "PairedStats",
@@ -53,32 +52,8 @@ def make_pss(kind: str, dim: int) -> PositiveSpanningSet:
         raise ValueError(f"unknown spanning set kind {kind!r}") from None
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Everything needed to reproduce a multi-start experiment."""
-
-    problem_id: str  # "example2d" or "mssc"
-    algorithms: tuple[str, ...]
-    n_starts: int
-    seed: int
-    pss_kind: str = "d1"
-    params: SolverParams = field(default_factory=SolverParams)
-    k: Optional[int] = None  # clustering only
-    data: Optional[ClusterData] = None  # clustering only
-    rho: Optional[float] = None  # clustering only; default 1/(n*k)
-
-    def __post_init__(self) -> None:
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
-        if self.problem_id not in ("example2d", "mssc"):
-            raise ValueError(f"unknown problem_id {self.problem_id!r}")
-        unknown = set(self.algorithms) - set(ALGORITHMS)
-        if unknown:
-            raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-
-
 @dataclass
-class StartSummary:
+class StartSummary(Record):
     """Outcome of one run from one start (trace dropped, finals kept)."""
 
     index: int
@@ -87,40 +62,13 @@ class StartSummary:
     final_phi: float
     n_iterations: int
     dfo_invocations: int
-    wall_time: Optional[float]
+    wall_time: Optional[float] = timing()
     termination: Termination
     label: Optional[str] = None
 
-    def to_dict(self, include_timings: bool = False) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "x0": self.x0.tolist(),
-            "final_point": self.final_point.tolist(),
-            "final_phi": self.final_phi,
-            "n_iterations": self.n_iterations,
-            "dfo_invocations": self.dfo_invocations,
-            "wall_time": self.wall_time if include_timings else None,
-            "termination": self.termination.value,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "StartSummary":
-        return cls(
-            index=d["index"],
-            x0=np.asarray(d["x0"], dtype=float),
-            final_point=np.asarray(d["final_point"], dtype=float),
-            final_phi=d["final_phi"],
-            n_iterations=d["n_iterations"],
-            dfo_invocations=d["dfo_invocations"],
-            wall_time=d["wall_time"],
-            termination=Termination(d["termination"]),
-            label=d["label"],
-        )
-
 
 @dataclass
-class PairRow:
+class PairRow(Record):
     """A paired comparison of two algorithms from one shared start."""
 
     instance: int
@@ -130,45 +78,18 @@ class PairRow:
     iters_dca: int
     iters_bdca_plus: int
     dfo_invocations: int
-    time_ratio: Optional[float]
-
-    def to_dict(self, include_timings: bool = False) -> dict[str, Any]:
-        return {
-            "instance": self.instance,
-            "phi_dca": self.phi_dca,
-            "phi_bdca_plus": self.phi_bdca_plus,
-            "gap": self.gap,
-            "iters_dca": self.iters_dca,
-            "iters_bdca_plus": self.iters_bdca_plus,
-            "dfo_invocations": self.dfo_invocations,
-            "time_ratio": self.time_ratio if include_timings else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "PairRow":
-        return cls(**d)
+    time_ratio: Optional[float] = timing()
 
 
 @dataclass
-class PairedStats:
+class PairedStats(Record):
     win_fraction: float
     mean_gap: float
     max_gap: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "win_fraction": self.win_fraction,
-            "mean_gap": self.mean_gap,
-            "max_gap": self.max_gap,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "PairedStats":
-        return cls(**d)
-
 
 @dataclass
-class MultiStartReport:
+class MultiStartReport(Record):
     """Aggregated multi-start results.
 
     ``runs`` keeps one summary list per algorithm (ordered by start
@@ -182,43 +103,6 @@ class MultiStartReport:
     basin_counts: Optional[dict[str, dict[str, int]]] = None
     pairs: Optional[list[PairRow]] = None
     paired_stats: Optional[PairedStats] = None
-
-    def to_dict(self, include_timings: bool = False) -> dict[str, Any]:
-        return {
-            "runs": {
-                algo: [s.to_dict(include_timings) for s in rows]
-                for algo, rows in self.runs.items()
-            },
-            "basin_counts": self.basin_counts,
-            "pairs": (
-                None
-                if self.pairs is None
-                else [p.to_dict(include_timings) for p in self.pairs]
-            ),
-            "paired_stats": (
-                None if self.paired_stats is None else self.paired_stats.to_dict()
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "MultiStartReport":
-        return cls(
-            runs={
-                algo: [StartSummary.from_dict(s) for s in rows]
-                for algo, rows in d["runs"].items()
-            },
-            basin_counts=d["basin_counts"],
-            pairs=(
-                None
-                if d["pairs"] is None
-                else [PairRow.from_dict(p) for p in d["pairs"]]
-            ),
-            paired_stats=(
-                None
-                if d["paired_stats"] is None
-                else PairedStats.from_dict(d["paired_stats"])
-            ),
-        )
 
 
 def classify_limit_point(
@@ -380,27 +264,37 @@ def _pairwise_chunk(
     return rows
 
 
-def run_pairwise_mssc(spec: ExperimentSpec, workers: int = 1) -> MultiStartReport:
+def run_pairwise_mssc(
+    data: ClusterData,
+    k: int,
+    n_starts: int,
+    seed: int,
+    params: Optional[SolverParams] = None,
+    workers: int = 1,
+    pss_kind: str = "d1",
+    rho: Optional[float] = None,
+) -> MultiStartReport:
     """Paired plain-vs-escape comparison on a clustering instance.
 
     Both algorithms start from the same random centroid configuration
     (uniform in the data bounding box, one substream per start).  Rows
     are sorted by objective gap ``phi_dca - phi_bdca_plus`` descending.
+    ``rho`` defaults to ``1/(n*k)``.
     """
-    if spec.problem_id != "mssc":
-        raise ValueError("run_pairwise_mssc needs an mssc spec")
-    if spec.data is None or spec.k is None:
-        raise ValueError("spec must carry data and k")
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1")
+    if params is None:
+        params = SolverParams()
     task = partial(
         _pairwise_chunk,
-        data=spec.data,
-        k=spec.k,
-        rho=spec.rho,
-        seed=spec.seed,
-        params=spec.params,
-        pss_kind=spec.pss_kind,
+        data=data,
+        k=k,
+        rho=rho,
+        seed=seed,
+        params=params,
+        pss_kind=pss_kind,
     )
-    rows = _run_chunks(task, spec.n_starts, workers)
+    rows = _run_chunks(task, n_starts, workers)
     runs: dict[str, list[StartSummary]] = {"DCA": [], "BDCA+": []}
     pairs: list[PairRow] = []
     for per in rows:

@@ -16,21 +16,16 @@ Exit codes: 0 success, 1 internal/oracle failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
-from dcboost.bench import (
-    ALGORITHMS,
-    ExperimentSpec,
-    run_pairwise_mssc,
-    run_table1,
-    make_pss,
-)
+from dcboost.bench import ALGORITHMS, TABLE1_BOX, make_pss, run_pairwise_mssc, run_table1
 from dcboost.core import ProblemDefinitionError, SolverParams
 from dcboost.problems.example2d import CRITICAL_POINTS, Example2dProblem
 from dcboost.problems.mssc import ClusterData, MsscProblem, generate_blobs, load_points_csv
@@ -73,6 +68,24 @@ def _parse_floats(text: str) -> np.ndarray:
         raise ValueError(f"could not parse {text!r} as comma-separated numbers")
 
 
+def _parse_point(text: str, flag: str, dim: int) -> np.ndarray:
+    point = _parse_floats(text)
+    if point.shape[0] != dim:
+        raise ValueError(
+            f"{flag} has length {point.shape[0]}, problem dimension is {dim}"
+        )
+    return point
+
+
+def _parse_box(text: str) -> tuple[tuple, tuple]:
+    """``--box`` as (lower corner, upper corner)."""
+    box = _parse_floats(text)
+    if box.shape[0] % 2 != 0:
+        raise ValueError("--box needs an even number of coordinates")
+    half = box.shape[0] // 2
+    return tuple(box[:half]), tuple(box[half:])
+
+
 def _parse_blob_spec(text: str) -> tuple[int, int]:
     try:
         a, b = text.lower().split("x")
@@ -96,39 +109,25 @@ def _resolve_seed(args) -> int:
     return 0
 
 
+# One --flag per SolverParams field (``mu_bar`` -> ``--mu-bar``); the
+# integer fields parse as int, all others as float.
+_PARAM_HINTS = get_type_hints(SolverParams)
+_PARAM_TYPES = {
+    f.name: int if _PARAM_HINTS[f.name] is int else float
+    for f in dataclasses.fields(SolverParams)
+}
+
+
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     grp = p.add_argument_group("solver parameters")
-    grp.add_argument("--alpha", type=float, default=None)
-    grp.add_argument("--beta1", type=float, default=None)
-    grp.add_argument("--beta2", type=float, default=None)
-    grp.add_argument("--eps1", type=float, default=None)
-    grp.add_argument("--eps2", type=float, default=None)
-    grp.add_argument("--mu-bar", dest="mu_bar", type=float, default=None)
-    grp.add_argument("--eta", type=float, default=None)
-    grp.add_argument("--tau", type=float, default=None)
-    grp.add_argument("--gamma", type=float, default=None)
-    grp.add_argument(
-        "--lambda-bar1", dest="lambda_bar1", type=float, default=None
-    )
-    grp.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+    for name, type_ in _PARAM_TYPES.items():
+        grp.add_argument("--" + name.replace("_", "-"), type=type_, default=None)
 
 
 def _params_from_args(args) -> SolverParams:
     overrides = {
         name: getattr(args, name)
-        for name in (
-            "alpha",
-            "beta1",
-            "beta2",
-            "eps1",
-            "eps2",
-            "mu_bar",
-            "eta",
-            "tau",
-            "gamma",
-            "lambda_bar1",
-            "max_iter",
-        )
+        for name in _PARAM_TYPES
         if getattr(args, name, None) is not None
     }
     return SolverParams(**overrides)
@@ -150,54 +149,45 @@ def _add_mssc_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_cluster_data(args) -> ClusterData:
+    """Clustering data from ``--data`` or ``--blobs``; also requires ``--k``."""
     if args.data and args.blobs:
         raise ValueError("use either --data or --blobs, not both")
     if args.data:
-        return load_points_csv(args.data)
-    if args.blobs:
+        data = load_points_csv(args.data)
+    elif args.blobs:
         n_blobs, per = _parse_blob_spec(args.blobs)
-        box = _parse_floats(args.box)
-        if box.shape[0] % 2 != 0:
-            raise ValueError("--box needs an even number of coordinates")
-        half = box.shape[0] // 2
-        return generate_blobs(
+        data = generate_blobs(
             n_blobs,
             per,
             spread=args.spread,
-            box=(tuple(box[:half]), tuple(box[half:])),
+            box=_parse_box(args.box),
             seed=args.blob_seed,
         )
-    raise ValueError("clustering needs --data or --blobs")
+    else:
+        raise ValueError("clustering needs --data or --blobs")
+    if args.k is None:
+        raise ValueError("--k is required for the clustering problem")
+    return data
 
 
-def _build_problem(args, seed: int):
-    """Returns (problem, x0)."""
+def _build_problem(args):
     if args.problem == "example2d":
-        problem = Example2dProblem(sign_at_zero=args.sign_at_zero)
-    else:
-        data = _load_cluster_data(args)
-        if args.k is None:
-            raise ValueError("--k is required for the clustering problem")
-        problem = MsscProblem(data, args.k, args.rho)
-    if getattr(args, "x0", None):
-        x0 = _parse_floats(args.x0)
-        if x0.shape[0] != problem.dim:
-            raise ValueError(
-                f"--x0 has length {x0.shape[0]}, problem dimension is {problem.dim}"
-            )
-    elif args.problem == "example2d":
-        rng = np.random.default_rng((seed, 0))
-        x0 = rng.uniform(-1.5, 1.5, 2)
-    else:
-        rng = np.random.default_rng((seed, 0))
-        x0 = problem.sample_start(rng)
-    return problem, x0
+        return Example2dProblem(sign_at_zero=args.sign_at_zero)
+    return MsscProblem(_load_cluster_data(args), args.k, args.rho)
 
 
 def cmd_solve(args) -> int:
     seed = _resolve_seed(args)
     params = _params_from_args(args)
-    problem, x0 = _build_problem(args, seed)
+    problem = _build_problem(args)
+    if args.x0:
+        x0 = _parse_point(args.x0, "--x0", problem.dim)
+    else:
+        rng = np.random.default_rng((seed, 0))
+        if args.problem == "example2d":
+            x0 = rng.uniform(*TABLE1_BOX, problem.dim)
+        else:
+            x0 = problem.sample_start(rng)
     if args.algo == "dca":
         result = run_dca(problem, x0, params)
     elif args.algo == "bdca":
@@ -241,18 +231,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.problem == "example2d":
-        problem = Example2dProblem(sign_at_zero=args.sign_at_zero)
-    else:
-        data = _load_cluster_data(args)
-        if args.k is None:
-            raise ValueError("--k is required for the clustering problem")
-        problem = MsscProblem(data, args.k, args.rho)
-    point = _parse_floats(args.point)
-    if point.shape[0] != problem.dim:
-        raise ValueError(
-            f"--point has length {point.shape[0]}, problem dimension is {problem.dim}"
-        )
+    problem = _build_problem(args)
+    point = _parse_point(args.point, "--point", problem.dim)
     pss = make_pss(args.pss, problem.dim)
     report = check_d_stationarity(problem, point, pss, tol=args.tol, fd_step=args.fd_step)
     _write_json(args.json, report.to_dict())
@@ -278,20 +258,16 @@ def cmd_cluster(args) -> int:
     seed = _resolve_seed(args)
     params = _params_from_args(args)
     data = _load_cluster_data(args)
-    if args.k is None:
-        raise ValueError("--k is required for the clustering problem")
-    spec = ExperimentSpec(
-        problem_id="mssc",
-        algorithms=("DCA", "BDCA+"),
-        n_starts=args.starts,
-        seed=seed,
+    report = run_pairwise_mssc(
+        data,
+        args.k,
+        args.starts,
+        seed,
+        params,
+        workers=args.workers,
         pss_kind=args.pss,
-        params=params,
-        k=args.k,
-        data=data,
         rho=args.rho,
     )
-    report = run_pairwise_mssc(spec, workers=args.workers)
     rows: list[list] = [
         [
             "instance",
@@ -304,19 +280,8 @@ def cmd_cluster(args) -> int:
             "time_ratio",
         ]
     ]
-    for p in report.pairs:
-        rows.append(
-            [
-                p.instance,
-                p.phi_dca,
-                p.phi_bdca_plus,
-                p.gap,
-                p.iters_dca,
-                p.iters_bdca_plus,
-                p.dfo_invocations,
-                p.time_ratio if args.timings else None,
-            ]
-        )
+    # One column per PairRow field, in field order.
+    rows += [list(p.to_dict(args.timings).values()) for p in report.pairs]
     _write_csv(args.csv, rows)
     stats = report.paired_stats
     _write_json(
@@ -336,15 +301,11 @@ def cmd_cluster(args) -> int:
 def cmd_gen(args) -> int:
     seed = _resolve_seed(args)
     n_blobs, per = _parse_blob_spec(args.blobs)
-    box = _parse_floats(args.box)
-    if box.shape[0] % 2 != 0:
-        raise ValueError("--box needs an even number of coordinates")
-    half = box.shape[0] // 2
     data = generate_blobs(
         n_blobs,
         per,
         spread=args.spread,
-        box=(tuple(box[:half]), tuple(box[half:])),
+        box=_parse_box(args.box),
         seed=seed,
     )
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -10,11 +10,15 @@ subproblem ``min g(x) - <u, x>``).
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import types
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional, Sequence
+from functools import cache
+from typing import Any, Callable, Optional, Sequence, TypeVar, Union
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -23,6 +27,8 @@ __all__ = [
     "ProblemDefinitionError",
     "Termination",
     "SolverParams",
+    "Record",
+    "timing",
     "DfoEvent",
     "IterationRecord",
     "RunResult",
@@ -129,8 +135,107 @@ class SolverParams:
             raise ValueError("max_iter must be a positive integer")
 
 
+def timing(**kwargs: Any) -> Any:
+    """Dataclass field holding a measured time (or a ratio of times).
+    Timings are the one value that cannot be reproduced byte for byte, so
+    :meth:`Record.to_dict` writes them as ``None`` unless requested."""
+    return field(metadata={"timing": True}, **kwargs)
+
+
+_SCALARS = frozenset({int, float, str, bool, type(None)})
+
+
+def _encode(value: Any, include_timings: bool) -> Any:
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Record):
+        return value.to_dict(include_timings)
+    if isinstance(value, dict):
+        return {k: _encode(v, include_timings) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_encode(v, include_timings) for v in value]
+    if isinstance(value, np.generic):  # e.g. a float64 from a user's oracle
+        return value.item()
+    raise TypeError(f"cannot encode {type(value).__name__} as JSON")
+
+
+_Decoder = Optional[Callable[[Any], Any]]  # None: the JSON value is used as is
+
+
+def _decoder(tp: Any) -> _Decoder:
+    """Conversion from the JSON value of a field annotated ``tp``."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, types.UnionType):  # Optional[X]
+        (inner,) = [a for a in args if a is not type(None)]
+        dec = _decoder(inner)
+        return None if dec is None else (lambda v: None if v is None else dec(v))
+    if origin is list:
+        dec = _decoder(args[0])
+        return list if dec is None else (lambda v: [dec(x) for x in v])
+    if origin is dict:
+        dec = _decoder(args[1])
+        return dict if dec is None else (lambda v: {k: dec(x) for k, x in v.items()})
+    if tp is np.ndarray:
+        return lambda v: np.asarray(v, dtype=float)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp
+    if isinstance(tp, type) and issubclass(tp, Record):
+        return tp.from_dict
+    return None
+
+
+# Per-class field lists, built once: (name, is timing) to encode and
+# (name, decoder) to decode.
+@cache
+def _encode_plan(cls: type) -> tuple[tuple[str, bool], ...]:
+    return tuple(
+        (f.name, bool(f.metadata.get("timing"))) for f in dataclasses.fields(cls)
+    )
+
+
+@cache
+def _decode_plan(cls: type) -> tuple[tuple[str, _Decoder], ...]:
+    hints = get_type_hints(cls)
+    return tuple((f.name, _decoder(hints[f.name])) for f in dataclasses.fields(cls))
+
+
+_R = TypeVar("_R", bound="Record")
+
+
+class Record:
+    """Mixin giving a dataclass a lossless JSON-ready dict form.
+
+    Keys follow field order.  Arrays become nested lists (read back as
+    float arrays), enums their values, and nested records, lists and
+    dicts convert recursively; the field annotations drive the way back.  Fields declared with
+    :func:`timing` encode as ``None`` unless ``include_timings`` is set.
+    """
+
+    def to_dict(self, include_timings: bool = False) -> dict[str, Any]:
+        out = {}
+        for name, is_timing in _encode_plan(type(self)):
+            value = None if is_timing and not include_timings else getattr(self, name)
+            if type(value) not in _SCALARS:
+                value = _encode(value, include_timings)
+            out[name] = value
+        return out
+
+    @classmethod
+    def from_dict(cls: type[_R], d: dict[str, Any]) -> _R:
+        return cls(
+            **{
+                name: d[name] if dec is None else dec(d[name])
+                for name, dec in _decode_plan(cls)
+            }
+        )
+
+
 @dataclass
-class DfoEvent:
+class DfoEvent(Record):
     """Outcome of one direct-search invocation.
 
     ``mu_tried`` lists the radii at which full direction scans ran, in
@@ -143,20 +248,9 @@ class DfoEvent:
     mu_accepted: Optional[float]
     direction_index: Optional[int]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "mu_tried": list(self.mu_tried),
-            "mu_accepted": self.mu_accepted,
-            "direction_index": self.direction_index,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "DfoEvent":
-        return cls(list(d["mu_tried"]), d["mu_accepted"], d["direction_index"])
-
 
 @dataclass
-class IterationRecord:
+class IterationRecord(Record):
     """One iteration of any solver: the DC step and what followed it.
 
     ``lambda_k`` is 0 for pure DC steps and for direct-search iterations;
@@ -173,69 +267,24 @@ class IterationRecord:
     lambda_trial: float
     dfo_event: Optional[DfoEvent] = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "k": self.k,
-            "x_k": self.x_k.tolist(),
-            "y_k": self.y_k.tolist(),
-            "d_k": self.d_k.tolist(),
-            "phi_x": self.phi_x,
-            "phi_y": self.phi_y,
-            "lambda_k": self.lambda_k,
-            "lambda_trial": self.lambda_trial,
-            "dfo_event": self.dfo_event.to_dict() if self.dfo_event else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "IterationRecord":
-        return cls(
-            k=d["k"],
-            x_k=np.asarray(d["x_k"], dtype=float),
-            y_k=np.asarray(d["y_k"], dtype=float),
-            d_k=np.asarray(d["d_k"], dtype=float),
-            phi_x=d["phi_x"],
-            phi_y=d["phi_y"],
-            lambda_k=d["lambda_k"],
-            lambda_trial=d["lambda_trial"],
-            dfo_event=DfoEvent.from_dict(d["dfo_event"]) if d["dfo_event"] else None,
-        )
-
 
 @dataclass
-class RunResult:
-    """Full outcome of a solver run: termination point, reason, and trace."""
+class RunResult(Record):
+    """Full outcome of a solver run: termination point, reason, and trace.
+
+    ``wall_time`` is ``None`` when read back from a dict written without
+    timings."""
 
     final_point: Point
     final_phi: float
     iterations: list[IterationRecord]
     termination: Termination
     dfo_invocations: int = 0
-    wall_time: float = 0.0
+    wall_time: Optional[float] = timing(default=0.0)
 
     @property
     def n_iterations(self) -> int:
         return len(self.iterations)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "final_point": self.final_point.tolist(),
-            "final_phi": self.final_phi,
-            "iterations": [r.to_dict() for r in self.iterations],
-            "termination": self.termination.value,
-            "dfo_invocations": self.dfo_invocations,
-            "wall_time": self.wall_time,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "RunResult":
-        return cls(
-            final_point=np.asarray(d["final_point"], dtype=float),
-            final_phi=d["final_phi"],
-            iterations=[IterationRecord.from_dict(r) for r in d["iterations"]],
-            termination=Termination(d["termination"]),
-            dfo_invocations=d["dfo_invocations"],
-            wall_time=d["wall_time"] if d["wall_time"] is not None else 0.0,
-        )
 
 
 class DcProblem(ABC):

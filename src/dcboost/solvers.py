@@ -41,6 +41,7 @@ from dcboost.core import (
     IterationRecord,
     Point,
     ProblemDefinitionError,
+    Record,
     RunResult,
     SolverParams,
     Termination,
@@ -115,40 +116,26 @@ class DfoOutcome:
 
 
 @dataclass
-class StationarityReport:
+class StationarityReport(Record):
     """Directional derivatives of the objective over a spanning set.
 
-    ``is_d_stationary`` holds when the smallest one is >= -tol; by the
-    positive-spanning property that certifies there is no descent
-    direction at all.
+    ``directions`` holds the spanning set of kind ``pss_kind``, one
+    direction per row in scan order.  ``is_d_stationary`` holds when the
+    smallest derivative is >= -tol; by the positive-spanning property
+    that certifies there is no descent direction at all.
     """
 
     point: Point
-    directions_checked: PositiveSpanningSet
+    pss_kind: str
+    directions: np.ndarray
     dir_derivs: list[float]
     min_deriv: float
     is_d_stationary: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "point": self.point.tolist(),
-            "pss_kind": self.directions_checked.kind,
-            "directions": self.directions_checked.directions.tolist(),
-            "dir_derivs": list(self.dir_derivs),
-            "min_deriv": self.min_deriv,
-            "is_d_stationary": self.is_d_stationary,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StationarityReport":
-        dirs = np.asarray(d["directions"], dtype=float)
-        pss = PositiveSpanningSet(dirs.shape[1], dirs, d["pss_kind"])
-        return cls(
-            point=np.asarray(d["point"], dtype=float),
-            directions_checked=pss,
-            dir_derivs=list(d["dir_derivs"]),
-            min_deriv=d["min_deriv"],
-            is_d_stationary=d["is_d_stationary"],
+    @property
+    def directions_checked(self) -> PositiveSpanningSet:
+        return PositiveSpanningSet(
+            self.directions.shape[1], self.directions, self.pss_kind
         )
 
 
@@ -470,4 +457,6 @@ def check_d_stationarity(
             h_prime = (problem.eval_h(x + fd_step * v) - h_x) / fd_step
         derivs.append(float(np.dot(grad, v)) - h_prime)
     min_deriv = min(derivs)
-    return StationarityReport(x, pss, derivs, min_deriv, min_deriv >= -tol)
+    return StationarityReport(
+        x, pss.kind, pss.directions, derivs, min_deriv, min_deriv >= -tol
+    )

@@ -7,7 +7,6 @@ import pytest
 
 from dcboost import (
     Example2dProblem,
-    ExperimentSpec,
     MsscProblem,
     SolverParams,
     eval_phi,
@@ -52,15 +51,9 @@ def paired_data():
 def paired_reports(paired_data):
     reports = {}
     for k in (4, 8):
-        spec = ExperimentSpec(
-            problem_id="mssc",
-            algorithms=("DCA", "BDCA+"),
-            n_starts=PAIRED_STARTS,
-            seed=PAIRED_SEED,
-            k=k,
-            data=paired_data,
+        reports[k] = run_pairwise_mssc(
+            paired_data, k=k, n_starts=PAIRED_STARTS, seed=PAIRED_SEED
         )
-        reports[k] = run_pairwise_mssc(spec)
     return reports
 
 

@@ -1,7 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from dcboost import ExperimentSpec, MultiStartReport, classify_limit_point
+import dcboost.bench
+
+from dcboost import MultiStartReport, classify_limit_point
 from dcboost.bench import UNCLASSIFIED, run_pairwise_mssc, run_table1
 from dcboost.core import Termination
 from dcboost.problems.example2d import CRITICAL_POINTS
@@ -31,20 +35,7 @@ def test_classify_rejects_bad_tol():
 
 def test_spec_validation(small_blobs):
     with pytest.raises(ValueError):
-        ExperimentSpec(problem_id="example2d", algorithms=("DCA",), n_starts=0, seed=0)
-    with pytest.raises(ValueError):
-        ExperimentSpec(problem_id="nope", algorithms=("DCA",), n_starts=1, seed=0)
-    with pytest.raises(ValueError):
-        ExperimentSpec(problem_id="mssc", algorithms=("XXX",), n_starts=1, seed=0)
-    spec = ExperimentSpec(
-        problem_id="mssc", algorithms=("DCA", "BDCA+"), n_starts=2, seed=0,
-        k=2, data=small_blobs,
-    )
-    with pytest.raises(ValueError, match="mssc spec"):
-        run_pairwise_mssc(
-            ExperimentSpec(problem_id="example2d", algorithms=("DCA",), n_starts=1, seed=0)
-        )
-    assert spec.pss_kind == "d1"
+        run_pairwise_mssc(small_blobs, k=2, n_starts=0, seed=0)
 
 
 def test_table1_small_counts_and_structure():
@@ -99,15 +90,7 @@ def test_table1_different_seeds_differ():
 
 
 def test_pairwise_k1_has_zero_gaps(small_blobs):
-    spec = ExperimentSpec(
-        problem_id="mssc",
-        algorithms=("DCA", "BDCA+"),
-        n_starts=6,
-        seed=5,
-        k=1,
-        data=small_blobs,
-    )
-    rep = run_pairwise_mssc(spec)
+    rep = run_pairwise_mssc(small_blobs, k=1, n_starts=6, seed=5)
     assert len(rep.pairs) == 6
     for p in rep.pairs:
         assert abs(p.gap) <= 1e-12
@@ -118,15 +101,7 @@ def test_pairwise_k1_has_zero_gaps(small_blobs):
 
 
 def test_pairwise_rows_sorted_by_gap(small_blobs):
-    spec = ExperimentSpec(
-        problem_id="mssc",
-        algorithms=("DCA", "BDCA+"),
-        n_starts=8,
-        seed=2,
-        k=3,
-        data=small_blobs,
-    )
-    rep = run_pairwise_mssc(spec)
+    rep = run_pairwise_mssc(small_blobs, k=3, n_starts=8, seed=2)
     gaps = [p.gap for p in rep.pairs]
     assert gaps == sorted(gaps, reverse=True)
     assert all(p.gap >= -1e-12 for p in rep.pairs)
@@ -136,17 +111,10 @@ def test_pairwise_rows_sorted_by_gap(small_blobs):
 
 
 def test_pairwise_deterministic_and_worker_independent(small_blobs):
-    spec = ExperimentSpec(
-        problem_id="mssc",
-        algorithms=("DCA", "BDCA+"),
-        n_starts=6,
-        seed=4,
-        k=2,
-        data=small_blobs,
-    )
-    a = run_pairwise_mssc(spec)
-    b = run_pairwise_mssc(spec)
-    c = run_pairwise_mssc(spec, workers=2)
+    args = dict(k=2, n_starts=6, seed=4)
+    a = run_pairwise_mssc(small_blobs, **args)
+    b = run_pairwise_mssc(small_blobs, **args)
+    c = run_pairwise_mssc(small_blobs, **args, workers=2)
     for ra, rb, rc in zip(a.pairs, b.pairs, c.pairs):
         assert (ra.instance, ra.phi_dca, ra.phi_bdca_plus) == (
             rb.instance,
@@ -161,15 +129,7 @@ def test_pairwise_deterministic_and_worker_independent(small_blobs):
 
 
 def test_report_round_trip(small_blobs):
-    spec = ExperimentSpec(
-        problem_id="mssc",
-        algorithms=("DCA", "BDCA+"),
-        n_starts=3,
-        seed=1,
-        k=2,
-        data=small_blobs,
-    )
-    rep = run_pairwise_mssc(spec)
+    rep = run_pairwise_mssc(small_blobs, k=2, n_starts=3, seed=1)
     for include in (False, True):
         back = MultiStartReport.from_dict(rep.to_dict(include_timings=include))
         assert [p.gap for p in back.pairs] == [p.gap for p in rep.pairs]
@@ -178,3 +138,22 @@ def test_report_round_trip(small_blobs):
             for sa, sb in zip(rep.runs[algo], back.runs[algo]):
                 assert np.array_equal(sa.final_point, sb.final_point)
                 assert (sb.wall_time is None) == (not include)
+
+
+def test_runners_called_by_module_name_once_per_start(monkeypatch, small_blobs):
+    # Instrumentation wraps the runners by rebinding these module globals,
+    # so the harness must look them up at call time and pass arguments
+    # positionally; the wrappers below accept nothing else.
+    calls = Counter()
+    for name in ("run_dca", "run_bdca", "run_bdca_plus"):
+
+        def counted(*args, _run=getattr(dcboost.bench, name), _name=name):
+            calls[_name] += 1
+            return _run(*args)
+
+        monkeypatch.setattr(dcboost.bench, name, counted)
+    run_table1(3, 0)
+    assert calls == {"run_dca": 3, "run_bdca": 3, "run_bdca_plus": 3}
+    calls.clear()
+    run_pairwise_mssc(small_blobs, k=2, n_starts=2, seed=0)
+    assert calls == {"run_dca": 2, "run_bdca_plus": 2}

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from dcboost.bench import MultiStartReport
-from dcboost.cli import main
+from dcboost.cli import _params_from_args, build_parser, main
+from dcboost.core import SolverParams
 from dcboost.problems.mssc import load_points_csv
 from dcboost.solvers import StationarityReport
 
@@ -323,3 +325,18 @@ def test_flag_wins_over_env(tmp_path, monkeypatch):
 def test_bad_env_seed_is_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("DCBOOST_SEED", "abc")
     assert run_cli("solve", "--problem", "example2d", "--algo", "dca") == 2
+
+
+# ------------------------------------------------------- solver parameters
+
+
+@pytest.mark.parametrize(
+    "field", dataclasses.fields(SolverParams), ids=lambda f: f.name
+)
+def test_param_flag_reaches_solver_params(field):
+    default = getattr(SolverParams(), field.name)
+    value = type(default)(default * 1.5)
+    flag = "--" + field.name.replace("_", "-")
+    args = build_parser().parse_args(["table1", "--starts", "1", flag, str(value)])
+    got = getattr(_params_from_args(args), field.name)
+    assert got == value and type(got) is type(default)

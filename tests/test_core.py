@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from dcboost import (
     eval_phi,
     validate_problem,
 )
+from dcboost.bench import PairRow, StartSummary
 from dcboost.core import IterationRecord, RunResult, Termination, as_point
 
 
@@ -146,3 +150,24 @@ def test_record_round_trip():
     assert back.termination is Termination.CRITICAL_POINT
     assert np.array_equal(back.final_point, result.final_point)
     assert back.iterations[0].lambda_trial == 10.0
+
+
+TIMED_RECORDS = [
+    RunResult(np.array([-1.0, -1.0]), -2.0, [], Termination.CRITICAL_POINT, 0, 0.25),
+    StartSummary(
+        0, np.zeros(2), np.ones(2), -2.0, 4, 1, 0.25, Termination.D_STATIONARY_CERTIFIED
+    ),
+    PairRow(3, -1.0, -2.0, 1.0, 10, 4, 1, 0.25),
+]
+
+
+@pytest.mark.parametrize("record", TIMED_RECORDS, ids=lambda r: type(r).__name__)
+def test_timing_fields_are_null_unless_requested(record):
+    timed = [f.name for f in dataclasses.fields(record) if f.metadata.get("timing")]
+    assert timed == ["time_ratio" if isinstance(record, PairRow) else "wall_time"]
+    (name,) = timed
+    assert record.to_dict()[name] is None
+    assert getattr(type(record).from_dict(record.to_dict()), name) is None
+    d = json.loads(json.dumps(record.to_dict(include_timings=True)))
+    assert d[name] == 0.25
+    assert getattr(type(record).from_dict(d), name) == 0.25
