@@ -293,7 +293,10 @@ class DcProblem(ABC):
     Subclasses fix ``dim`` (problem dimension) and ``rho`` (the common
     strong-convexity modulus of both components, > 0) and implement the
     five oracles below.  All oracles must be pure: instances are treated
-    as immutable and may be shared across concurrent runs.
+    as immutable and may be shared across concurrent runs.  A problem may
+    keep a private memo (say, of work shared by the oracles at one point)
+    as long as every result stays bit-identical to a fresh instance's and
+    a shared instance stays safe under concurrent calls.
 
     ``solve_subproblem(u)`` must return the unique minimizer ``y`` of
     ``g(x) - <u, x>``, i.e. the point with ``grad_g(y) = u``.  Solvers

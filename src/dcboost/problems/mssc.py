@@ -126,6 +126,12 @@ class MsscProblem(DcProblem):
 
     The decision vector concatenates the k centroids; ``dim`` is
     ``k * data.dim_space``.  ``rho`` defaults to ``1 / (n * k)``.
+
+    The oracles at one point share a single n-by-k distance matrix: the
+    instance keeps the matrix, the nearest-centroid labels and the row
+    minima of the last point it saw, keyed by that point's float64 bytes.
+    Every result is bit-identical to a fresh instance's, and the entry is
+    replaced by one assignment, so a shared instance stays safe.
     """
 
     def __init__(self, data: ClusterData, k: int, rho: float | None = None):
@@ -139,9 +145,10 @@ class MsscProblem(DcProblem):
             raise ValueError("rho must be positive")
         self._a = data.points
         self._a_sqnorm = np.einsum("ij,ij->i", self._a, self._a)
+        self._memo: tuple = (None,)
 
     def _centroids(self, x: Point) -> np.ndarray:
-        return np.asarray(x).reshape(self.k, self.data.dim_space)
+        return np.asarray(x, dtype=float).reshape(self.k, self.data.dim_space)
 
     def _sq_dists(self, c: np.ndarray) -> np.ndarray:
         """(n, k) matrix of squared distances data-point-to-centroid."""
@@ -151,17 +158,36 @@ class MsscProblem(DcProblem):
         np.maximum(d, 0.0, out=d)
         return d
 
-    def eval_g(self, x: Point) -> float:
+    def _at(
+        self, x: Point
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Centroids, distance matrix, nearest-centroid labels and row
+        minima at ``x``; the last point's are reused."""
         c = self._centroids(x)
+        key = c.tobytes()
+        memo = self._memo
+        if memo[0] == key:
+            return (c,) + memo[1:]
         d = self._sq_dists(c)
+        # np.argmin takes the first hit: the smallest-index tie-break.
+        labels = np.argmin(d, axis=1)
+        # Picking the minimum by its index rounds nothing, so this equals
+        # d.min(axis=1) bit for bit, at a fraction of the cost.
+        row_min = np.take_along_axis(d, labels[:, None], 1)[:, 0]
+        for arr in (d, labels, row_min):
+            arr.flags.writeable = False
+        self._memo = (key, d, labels, row_min)
+        return c, d, labels, row_min
+
+    def eval_g(self, x: Point) -> float:
+        _, d, _, _ = self._at(x)
         x = np.asarray(x)
         return float(d.sum() / self.data.n + 0.5 * self.rho * np.dot(x, x))
 
     def eval_h(self, x: Point) -> float:
-        c = self._centroids(x)
-        d = self._sq_dists(c)
+        _, d, _, row_min = self._at(x)
         # max_j of the sum with term j dropped = row sum - row min.
-        row = d.sum(axis=1) - d.min(axis=1)
+        row = d.sum(axis=1) - row_min
         x = np.asarray(x)
         return float(row.sum() / self.data.n + 0.5 * self.rho * np.dot(x, x))
 
@@ -171,11 +197,8 @@ class MsscProblem(DcProblem):
         return g.ravel()
 
     def subgrad_h(self, x: Point) -> Point:
-        c = self._centroids(x)
-        d = self._sq_dists(c)
-        # argmax_j of the dropped-term sum = nearest centroid; np.argmin
-        # takes the first hit, which is the smallest-index tie-break.
-        labels = np.argmin(d, axis=1)
+        # argmax_j of the dropped-term sum = nearest centroid.
+        c, _, labels, _ = self._at(x)
         counts = np.bincount(labels, minlength=self.k).astype(float)
         sums = np.empty_like(c)
         for dim in range(c.shape[1]):
@@ -204,9 +227,8 @@ class MsscProblem(DcProblem):
         At ties of the inner max the derivative is the max over the tied
         smooth branches (tie detection uses exact float equality).
         """
-        c = self._centroids(x)
-        db = self._centroids(np.asarray(d, dtype=float))
-        dist = self._sq_dists(c)
+        c, dist, _, _ = self._at(x)
+        db = self._centroids(d)
         # Branch values b_ij =S_i - dist_ij; derivative of branch j for
         # point i is G_i - c_ij with the per-centroid terms below.
         block_dot = np.einsum("ij,ij->i", c, db)  # <x_j, d_j> per centroid
@@ -221,8 +243,7 @@ class MsscProblem(DcProblem):
 
     def phi_direct(self, x: Point) -> float:
         """Mean squared distance to the nearest centroid (for cross-checks)."""
-        c = self._centroids(x)
-        return float(self._sq_dists(c).min(axis=1).mean())
+        return float(self._at(x)[3].mean())
 
     def sample_start(self, rng: np.random.Generator) -> Point:
         """Random centroid configuration, uniform in the data bounding box."""

@@ -27,6 +27,7 @@ Violations raise :class:`~dcboost.core.ProblemDefinitionError`.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -139,6 +140,13 @@ class StationarityReport(Record):
         )
 
 
+def _norm(v: Point) -> float:
+    """Euclidean norm of a 1-D float vector; the same bits as
+    ``np.linalg.norm(v)``, which computes exactly this, without its
+    per-call overhead."""
+    return math.sqrt(float(np.dot(v, v)))
+
+
 def _dc_step(
     problem: DcProblem, x: Point, phi_x: float
 ) -> tuple[Point, Point, Point, float]:
@@ -148,8 +156,8 @@ def _dc_step(
     """
     u = problem.subgrad_h(x)
     y = problem.solve_subproblem(u)
-    residual = float(np.linalg.norm(problem.grad_g(y) - u))
-    if residual > SUBPROBLEM_RESIDUAL_RTOL * (1.0 + float(np.linalg.norm(u))):
+    residual = _norm(problem.grad_g(y) - u)
+    if residual > SUBPROBLEM_RESIDUAL_RTOL * (1.0 + _norm(u)):
         raise ProblemDefinitionError(
             f"subproblem solution has first-order residual {residual:.3e} "
             f"at u={np.asarray(u)!r}"
@@ -345,7 +353,7 @@ def _drive(
     t0 = time.perf_counter()
     for k in range(params.max_iter):
         y, d, u, phi_y = _dc_step(problem, x, phi_x)
-        norm_d = float(np.linalg.norm(d))
+        norm_d = _norm(d)
         if norm_d > params.eps1:
             if boost:
                 trial = rule(state, params.gamma, params.lambda_bar1)

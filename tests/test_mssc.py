@@ -1,7 +1,21 @@
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dcboost import ClusterData, MsscProblem, eval_phi, generate_blobs, load_points_csv
+from dcboost import (
+    ClusterData,
+    MsscProblem,
+    Termination,
+    eval_phi,
+    generate_blobs,
+    load_points_csv,
+    run_bdca,
+    run_bdca_plus,
+    run_dca,
+)
 
 
 def test_cluster_data_mean_and_immutability():
@@ -234,3 +248,212 @@ def test_dir_deriv_consistent_with_subgrad_at_smooth_points(mssc3, rng):
         u = mssc3.subgrad_h(x)
         d = rng.normal(0.0, 1.0, mssc3.dim)
         assert mssc3.dir_deriv_h(x, d) == pytest.approx(float(np.dot(u, d)), rel=1e-9, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The per-point memo: the oracles at one point share one distance matrix.
+
+# Six planar points with a duplicate; with k=3 the integer-valued centroids
+# below land exactly on data points and on equidistant positions.
+MEMO_DATA = ClusterData(
+    np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0], [3.0, -2.0]])
+)
+MEMO_K = 3
+MEMO_DIRECTION = np.array([1.0, -0.5, 0.0, 2.0, -1.0, 0.25])
+POINT_ORACLES = ("eval_g", "eval_h", "subgrad_h", "dir_deriv_h", "phi_direct")
+
+
+def _oracle_bits(problem, name, x):
+    """Raw bytes of one oracle's result, so that -0.0 differs from 0.0."""
+    if name == "dir_deriv_h":
+        out = problem.dir_deriv_h(x, MEMO_DIRECTION)
+    else:
+        out = getattr(problem, name)(x)
+    return np.asarray(out, dtype=np.float64).tobytes()
+
+
+_coord = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+_point = st.lists(_coord, min_size=MEMO_K * 2, max_size=MEMO_K * 2)
+
+
+def _variants(base):
+    """The point itself, its integer-valued and integer-dtype copies, its
+    sign-flipped zeros, and a copy whose first two centroids coincide."""
+    x = np.array(base)
+    rounded = np.round(x)
+    tied = x.copy()
+    tied[2:4] = tied[0:2]
+    return [x, rounded, rounded.astype(np.int64), np.where(x == 0.0, -x, x), tied]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bases=st.lists(_point, min_size=1, max_size=3),
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 14), st.sampled_from(POINT_ORACLES), st.booleans()
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@example(
+    bases=[[0.0] * 6, [1.0] * 6],
+    steps=[(0, "eval_g", True), (5, "eval_g", True), (0, "subgrad_h", False)],
+)
+def test_memo_matches_fresh_instance(bases, steps):
+    """Any call sequence on one instance gives the bits of a fresh one.
+
+    A step either passes a pool point itself or copies it into one reused
+    buffer, which the caller mutates in place between calls; a memo keyed
+    on the array's identity would return stale results there.
+    """
+    pool = [v for base in bases for v in _variants(base)]
+    shared = MsscProblem(MEMO_DATA, MEMO_K)
+    buf = np.empty(MEMO_K * 2)
+    for index, name, in_buffer in steps:
+        x = pool[index % len(pool)]
+        if in_buffer:
+            buf[:] = x
+            x = buf
+        expected = _oracle_bits(MsscProblem(MEMO_DATA, MEMO_K), name, x)
+        assert _oracle_bits(shared, name, x) == expected, (name, x)
+
+
+def test_integer_dtype_point_matches_float_point():
+    # Cluster sums are accumulated in float even when the point is not.
+    data = ClusterData(np.array([[0.5, 0.25], [1.5, 0.0], [3.0, 3.0], [0.75, 2.5]]))
+    prob = MsscProblem(data, MEMO_K)
+    x = np.array([0, 0, 3, 3, 1, 2])
+    for name in POINT_ORACLES:
+        assert _oracle_bits(prob, name, x) == _oracle_bits(prob, name, x.astype(float))
+
+
+@pytest.fixture
+def matrix_count(monkeypatch):
+    """Counts the distance matrices MsscProblem builds."""
+    count = {"matrices": 0}
+    build = MsscProblem._sq_dists
+
+    def counted(self, c):
+        count["matrices"] += 1
+        return build(self, c)
+
+    monkeypatch.setattr(MsscProblem, "_sq_dists", counted)
+    return count
+
+
+def test_point_oracles_share_one_matrix(matrix_count, mssc3, rng):
+    x = mssc3.sample_start(rng)
+    for name in POINT_ORACLES:
+        _oracle_bits(mssc3, name, x)
+    assert matrix_count["matrices"] == 1
+    # A different point builds a new one; grad_g needs none.
+    mssc3.grad_g(x + 1.0)
+    mssc3.eval_g(x + 1.0)
+    assert matrix_count["matrices"] == 2
+
+
+@pytest.mark.parametrize("solver", ["dca", "bdca_plus"])
+def test_solver_runs_build_at_most_one_matrix_per_evaluation(
+    matrix_count, monkeypatch, solver
+):
+    prob = MsscProblem(generate_blobs(3, 30, seed=7), k=4)
+    evals = {"eval_g": 0}
+    eval_g = MsscProblem.eval_g
+
+    def counted_eval_g(self, x):
+        evals["eval_g"] += 1
+        return eval_g(self, x)
+
+    monkeypatch.setattr(MsscProblem, "eval_g", counted_eval_g)
+    x0 = prob.sample_start(np.random.default_rng(7))
+    run = run_dca if solver == "dca" else run_bdca_plus
+    run(prob, x0)
+    assert 0 < matrix_count["matrices"] <= evals["eval_g"]
+
+
+# (points, k, x0) -> {solver: (termination, final_phi)}, the outcomes these
+# runs have always had.
+DEGENERATE_CASES = {
+    "n1_k1": (
+        [[1.0, 2.0]], 1, [0.0, 0.0],
+        {"dca": ("CriticalPoint", 0.0), "bdca": ("CriticalPoint", 0.0),
+         "bdca_plus": ("DStationaryCertified", 0.0)},
+    ),
+    "n1_k2": (
+        [[1.0, 2.0]], 2, [0.0, 0.0, 3.0, -1.0],
+        {"dca": ("CriticalPoint", 0.0), "bdca": ("CriticalPoint", 0.0),
+         "bdca_plus": ("DStationaryCertified", 0.0)},
+    ),
+    "duplicates_k2": (
+        [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]], 2, [0.5, 0.5, 0.5, 0.5],
+        {"dca": ("CriticalPoint", 0.5), "bdca": ("CriticalPoint", 0.5),
+         "bdca_plus": ("DStationaryCertified", 0.0)},
+    ),
+    "all_equal_k3": (
+        [[1.0, 1.0]] * 4, 3, [0.0, 0.0, 1.0, 1.0, 2.0, 2.0],
+        {"dca": ("CriticalPoint", 0.0), "bdca": ("CriticalPoint", 0.0),
+         "bdca_plus": ("DStationaryCertified", 0.0)},
+    ),
+    "n3_k2": (
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 2, [0.0, 0.0, 0.0, 0.0],
+        {"dca": ("CriticalPoint", 0.3333333333333336),
+         "bdca": ("CriticalPoint", 0.3333333333333335),
+         "bdca_plus": ("DStationaryCertified", 0.3333333333333335)},
+    ),
+    "n3_k4": (
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 4, [0.0, 0.0, 5.0, 5.0, 0.0, 0.0, -2.0, 3.0],
+        {"dca": ("CriticalPoint", 0.3333333333333357),
+         "bdca": ("CriticalPoint", 0.3333333333333286),
+         "bdca_plus": ("DStationaryCertified", 0.3333333333333286)},
+    ),
+}
+
+
+def _solve(solver, problem, x0):
+    if solver == "dca":
+        return run_dca(problem, x0)
+    if solver == "bdca":
+        return run_bdca(problem, x0)
+    return run_bdca_plus(problem, x0)
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_CASES))
+@pytest.mark.parametrize("solver", ["dca", "bdca", "bdca_plus"])
+def test_degenerate_inputs_terminate_with_defined_outcome(case, solver):
+    # Duplicate points, n = 1 and k > n leave empty clusters and tied
+    # assignments; every run must still stop with its known outcome.
+    points, k, x0, outcomes = DEGENERATE_CASES[case]
+    prob = MsscProblem(ClusterData(np.array(points)), k)
+    res = _solve(solver, prob, np.array(x0))
+    termination, final_phi = outcomes[solver]
+    assert res.termination is Termination(termination)
+    assert res.final_phi == final_phi
+
+
+def test_shared_instance_across_threads_matches_sequential_runs():
+    prob = MsscProblem(generate_blobs(3, 30, seed=7), k=4)
+    starts = [prob.sample_start(np.random.default_rng((5, i))) for i in range(4)]
+    jobs = [(solver, x0) for x0 in starts for solver in ("dca", "bdca_plus")]
+
+    def fingerprint(res):
+        return (res.final_point.tobytes(), res.final_phi, res.n_iterations, res.termination)
+
+    sequential = [fingerprint(_solve(s, MsscProblem(prob.data, prob.k), x0)) for s, x0 in jobs]
+    threaded = [None] * len(jobs)
+
+    def worker(offset):
+        for i in range(offset, len(jobs), 2):
+            solver, x0 = jobs[i]
+            threaded[i] = fingerprint(_solve(solver, prob, x0))
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert threaded == sequential
