@@ -21,7 +21,7 @@ import numpy as np
 from dcboost.core import Record, RunResult, SolverParams, Termination, timing
 from dcboost.problems.example2d import CRITICAL_POINTS, Example2dProblem
 from dcboost.problems.mssc import ClusterData, MsscProblem
-from dcboost.solvers import run_bdca, run_bdca_plus, run_dca
+from dcboost.solvers import _norm, run_bdca, run_bdca_plus, run_dca
 from dcboost.spanning import PositiveSpanningSet, make_d1, make_d2, make_d3
 
 __all__ = [
@@ -121,14 +121,14 @@ def classify_limit_point(
     pts = [np.asarray(p, dtype=float) for _, p in references]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if float(np.linalg.norm(pts[i] - pts[j])) <= 2.0 * tol:
+            if _norm(pts[i] - pts[j]) <= 2.0 * tol:
                 raise ValueError(
                     f"references {references[i][0]!r} and {references[j][0]!r} "
                     f"are too close for tol={tol}"
                 )
     x = np.asarray(x, dtype=float)
     for (label, _), p in zip(references, pts):
-        if float(np.linalg.norm(x - p)) <= tol:
+        if _norm(x - p) <= tol:
             return label
     return UNCLASSIFIED
 

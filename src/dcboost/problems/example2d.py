@@ -56,18 +56,18 @@ class Example2dProblem(DcProblem):
         return self.sign_at_zero
 
     def eval_g(self, x: Point) -> float:
-        a, b = float(x[0]), float(x[1])
+        a, b = x.tolist()
         return 1.5 * (a * a + b * b) + a + b
 
     def eval_h(self, x: Point) -> float:
-        a, b = float(x[0]), float(x[1])
+        a, b = x.tolist()
         return abs(a) + abs(b) + 0.5 * (a * a + b * b)
 
     def grad_g(self, x: Point) -> Point:
         return np.array((3.0 * x[0] + 1.0, 3.0 * x[1] + 1.0))
 
     def subgrad_h(self, x: Point) -> Point:
-        a, b = float(x[0]), float(x[1])
+        a, b = x.tolist()
         return np.array((self._sign(a) + a, self._sign(b) + b))
 
     def solve_subproblem(self, u: Point) -> Point:

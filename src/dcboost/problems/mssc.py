@@ -24,12 +24,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from dcboost.core import DcProblem, Point
 
 __all__ = ["ClusterData", "MsscProblem", "generate_blobs", "load_points_csv"]
+
+# Distances per block of the distance pass: the block's temporaries (64 KB)
+# stay in cache and under glibc's 128 KB mmap threshold, so no point maps
+# and trims pages of its own.
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -121,17 +127,29 @@ def load_points_csv(path: str | os.PathLike) -> ClusterData:
     return ClusterData(np.array(rows))
 
 
+class _PointEval(NamedTuple):
+    """What the oracles read at one point."""
+
+    dists: np.ndarray  # (n, k) squared distances
+    labels: np.ndarray  # nearest centroid per data point
+    row_sums: np.ndarray  # dists.sum(axis=1)
+    row_min: np.ndarray  # dists.min(axis=1)
+    total: float  # dists.sum()
+    reg: float  # (rho/2) * ||x||^2
+
+
 class MsscProblem(DcProblem):
     """The clustering objective above as a :class:`DcProblem`.
 
     The decision vector concatenates the k centroids; ``dim`` is
     ``k * data.dim_space``.  ``rho`` defaults to ``1 / (n * k)``.
 
-    The oracles at one point share a single n-by-k distance matrix: the
-    instance keeps the matrix, the nearest-centroid labels and the row
-    minima of the last point it saw, keyed by that point's float64 bytes.
-    Every result is bit-identical to a fresh instance's, and the entry is
-    replaced by one assignment, so a shared instance stays safe.
+    The oracles at one point share one pass over the data: the instance
+    keeps the n-by-k distance matrix, the nearest-centroid labels, the row
+    sums and minima, the total and the regulariser of the last point it
+    saw, keyed by that point's float64 bytes.  Every result is
+    bit-identical to a fresh instance's, and the entry is replaced by one
+    assignment, so a shared instance stays safe.
     """
 
     def __init__(self, data: ClusterData, k: int, rho: float | None = None):
@@ -144,52 +162,93 @@ class MsscProblem(DcProblem):
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         self._a = data.points
-        self._a_sqnorm = np.einsum("ij,ij->i", self._a, self._a)
-        self._memo: tuple = (None,)
+        # Rows [|a_i|^2, 1]; see _sq_dists.
+        self._a_sq = np.ones((data.n, 2))
+        self._a_sq[:, 0] = np.einsum("ij,ij->i", self._a, self._a)
+        # Flat index of each row's first distance.
+        self._row_start = np.arange(data.n) * self.k
+        self._memo: tuple = (None, None)
 
     def _centroids(self, x: Point) -> np.ndarray:
         return np.asarray(x, dtype=float).reshape(self.k, self.data.dim_space)
 
-    def _sq_dists(self, c: np.ndarray) -> np.ndarray:
-        """(n, k) matrix of squared distances data-point-to-centroid."""
-        c_sqnorm = np.einsum("ij,ij->i", c, c)
-        d = self._a_sqnorm[:, None] + c_sqnorm[None, :] - 2.0 * (self._a @ c.T)
-        # Rounding can leave tiny negatives on exact hits.
-        np.maximum(d, 0.0, out=d)
-        return d
+    def _sq_dists(
+        self, c: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(n, k) matrix of squared distances data-point-to-centroid, with
+        each row's nearest-centroid label and sum, built in one pass over
+        row blocks of about ``_BLOCK`` distances.
 
-    def _at(
-        self, x: Point
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Centroids, distance matrix, nearest-centroid labels and row
-        minima at ``x``; the last point's are reused."""
+        Every element is ``|a|^2 + |c|^2 - 2 a.c`` clamped at 0 and rounded
+        as that expression rounds: scaling by -2 is exact and ``s - 2m`` is
+        the same operation as ``-2m + s``.  Labels and row sums depend on
+        their row alone, so the block size changes no bit.
+        """
+        n, k = self.data.n, self.k
+        d = np.empty((n, k))
+        labels = np.empty(n, dtype=np.intp)
+        row_sums = np.empty(n)
+        # |a|^2 + |c|^2 as the product of rows [|a|^2, 1] and columns
+        # [1, |c|^2]: both products are exact, so in any order, fused or
+        # not, the result is the plain sum rounded once, and the product
+        # costs a quarter of a broadcast add.
+        c_sq = np.ones((2, k))
+        np.einsum("ij,ij->i", c, c, out=c_sq[1])
+        ct = c.T
+        rows = max(2, _BLOCK // k)
+        sq = np.empty((min(n, rows + 1), k))
+        lo = 0
+        while lo < n:
+            hi = lo + rows
+            # numpy multiplies a single row through another BLAS routine,
+            # whose roundings differ; a lone last row joins its block.
+            if hi >= n - 1:
+                hi = n
+            blk = d[lo:hi]
+            blk_sq = sq[: hi - lo]
+            np.matmul(self._a[lo:hi], ct, out=blk)
+            blk *= -2.0
+            np.matmul(self._a_sq[lo:hi], c_sq, out=blk_sq)
+            blk += blk_sq
+            # Rounding can leave tiny negatives on exact hits.
+            np.maximum(blk, 0.0, out=blk)
+            # argmin takes the first hit: the smallest-index tie-break.
+            blk.argmin(axis=1, out=labels[lo:hi])
+            np.add.reduce(blk, axis=1, out=row_sums[lo:hi])
+            lo = hi
+        return d, labels, row_sums
+
+    def _at(self, x: Point) -> tuple[np.ndarray, _PointEval]:
+        """Centroids at ``x`` and everything the oracles read there; the
+        last point's entry is reused."""
         c = self._centroids(x)
         key = c.tobytes()
         memo = self._memo
         if memo[0] == key:
-            return (c,) + memo[1:]
-        d = self._sq_dists(c)
-        # np.argmin takes the first hit: the smallest-index tie-break.
-        labels = np.argmin(d, axis=1)
+            return c, memo[1]
+        d, labels, row_sums = self._sq_dists(c)
         # Picking the minimum by its index rounds nothing, so this equals
         # d.min(axis=1) bit for bit, at a fraction of the cost.
-        row_min = np.take_along_axis(d, labels[:, None], 1)[:, 0]
-        for arr in (d, labels, row_min):
+        row_min = d.ravel()[self._row_start + labels]
+        for arr in (d, labels, row_sums, row_min):
             arr.flags.writeable = False
-        self._memo = (key, d, labels, row_min)
-        return c, d, labels, row_min
+        flat = c.ravel()
+        entry = _PointEval(
+            d, labels, row_sums, row_min, float(d.sum()),
+            0.5 * self.rho * float(np.dot(flat, flat)),
+        )
+        self._memo = (key, entry)
+        return c, entry
 
     def eval_g(self, x: Point) -> float:
-        _, d, _, _ = self._at(x)
-        x = np.asarray(x)
-        return float(d.sum() / self.data.n + 0.5 * self.rho * np.dot(x, x))
+        e = self._at(x)[1]
+        return e.total / self.data.n + e.reg
 
     def eval_h(self, x: Point) -> float:
-        _, d, _, row_min = self._at(x)
+        e = self._at(x)[1]
         # max_j of the sum with term j dropped = row sum - row min.
-        row = d.sum(axis=1) - row_min
-        x = np.asarray(x)
-        return float(row.sum() / self.data.n + 0.5 * self.rho * np.dot(x, x))
+        row = e.row_sums - e.row_min
+        return float(row.sum()) / self.data.n + e.reg
 
     def grad_g(self, x: Point) -> Point:
         c = self._centroids(x)
@@ -198,12 +257,12 @@ class MsscProblem(DcProblem):
 
     def subgrad_h(self, x: Point) -> Point:
         # argmax_j of the dropped-term sum = nearest centroid.
-        c, _, labels, _ = self._at(x)
-        counts = np.bincount(labels, minlength=self.k).astype(float)
+        c, e = self._at(x)
+        counts = np.bincount(e.labels, minlength=self.k).astype(float)
         sums = np.empty_like(c)
         for dim in range(c.shape[1]):
             sums[:, dim] = np.bincount(
-                labels, weights=self._a[:, dim], minlength=self.k
+                e.labels, weights=self._a[:, dim], minlength=self.k
             )
         n = float(self.data.n)
         # Every branch t != label_i contributes 2*(x_t - a_i)/n; summing
@@ -227,7 +286,7 @@ class MsscProblem(DcProblem):
         At ties of the inner max the derivative is the max over the tied
         smooth branches (tie detection uses exact float equality).
         """
-        c, dist, _, _ = self._at(x)
+        c, e = self._at(x)
         db = self._centroids(d)
         # Branch values b_ij =S_i - dist_ij; derivative of branch j for
         # point i is G_i - c_ij with the per-centroid terms below.
@@ -235,7 +294,7 @@ class MsscProblem(DcProblem):
         cross = self._a @ db.T  # <a_i, d_j>
         per_branch = 2.0 * (block_dot[None, :] - cross)  # c_ij
         total = per_branch.sum(axis=1)  # G_i
-        branch_vals = dist.sum(axis=1, keepdims=True) - dist
+        branch_vals = e.row_sums[:, None] - e.dists
         ties = branch_vals == branch_vals.max(axis=1, keepdims=True)
         deriv = np.where(ties, total[:, None] - per_branch, -np.inf).max(axis=1)
         x = np.asarray(x)
@@ -243,7 +302,7 @@ class MsscProblem(DcProblem):
 
     def phi_direct(self, x: Point) -> float:
         """Mean squared distance to the nearest centroid (for cross-checks)."""
-        return float(self._at(x)[3].mean())
+        return float(self._at(x)[1].row_min.mean())
 
     def sample_start(self, rng: np.random.Generator) -> Point:
         """Random centroid configuration, uniform in the data bounding box."""

@@ -279,7 +279,7 @@ def _phi_and_scale(problem: DcProblem, x: Point) -> tuple[float, float]:
     g = problem.eval_g(x)
     h = problem.eval_h(x)
     phi = g - h
-    if not np.isfinite(phi):
+    if not math.isfinite(phi):
         raise ProblemDefinitionError(
             f"objective is not finite at x={np.asarray(x)!r} (got {phi})"
         )
@@ -312,8 +312,9 @@ def dfo_escape(
     dirs = pss.directions
     while True:
         mu_tried.append(mu)
-        for i in range(dirs.shape[0]):
-            trial = y_k + mu * dirs[i]
+        # Row i has the bits of y_k + mu * dirs[i].
+        trials = y_k + mu * dirs
+        for i, trial in enumerate(trials):
             phi_trial, scale_trial = _phi_and_scale(problem, trial)
             guard = _DFO_ACCEPT_GUARD * (1.0 + scale_y + scale_trial)
             if phi_trial < phi_y - guard:

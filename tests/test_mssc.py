@@ -16,6 +16,7 @@ from dcboost import (
     run_bdca_plus,
     run_dca,
 )
+from dcboost.problems.mssc import _BLOCK
 
 
 def test_cluster_data_mean_and_immutability():
@@ -457,3 +458,118 @@ def test_shared_instance_across_threads_matches_sequential_runs():
     for t in threads:
         t.join()
     assert threaded == sequential
+
+
+# ---------------------------------------------------------------------------
+# The blocked distance pass: same bits as the whole-matrix formulas.
+
+
+def _whole_matrix_oracles(problem, x, direction):
+    """The five point oracles as plain formulas on one full n-by-k matrix,
+    the way they were computed before the distance pass ran in blocks."""
+    a = problem.data.points
+    n, k, s = problem.data.n, problem.k, problem.data.dim_space
+    c = np.asarray(x, dtype=float).reshape(k, s)
+    d = (
+        np.einsum("ij,ij->i", a, a)[:, None]
+        + np.einsum("ij,ij->i", c, c)[None, :]
+        - 2.0 * (a @ c.T)
+    )
+    np.maximum(d, 0.0, out=d)
+    labels = np.argmin(d, axis=1)
+    row_min = np.take_along_axis(d, labels[:, None], 1)[:, 0]
+    xa = np.asarray(x)
+    reg = 0.5 * problem.rho * np.dot(xa, xa)
+    counts = np.bincount(labels, minlength=k).astype(float)
+    sums = np.empty_like(c)
+    for t in range(s):
+        sums[:, t] = np.bincount(labels, weights=a[:, t], minlength=k)
+    sub = (
+        2.0 * c
+        - 2.0 * problem.data.mean
+        - (2.0 / n) * (counts[:, None] * c - sums)
+        + problem.rho * c
+    )
+    db = direction.reshape(k, s)
+    per_branch = 2.0 * (np.einsum("ij,ij->i", c, db)[None, :] - a @ db.T)
+    branch_vals = d.sum(axis=1, keepdims=True) - d
+    ties = branch_vals == branch_vals.max(axis=1, keepdims=True)
+    deriv = np.where(ties, per_branch.sum(axis=1)[:, None] - per_branch, -np.inf)
+    return d, {
+        "eval_g": float(d.sum() / n + reg),
+        "eval_h": float((d.sum(axis=1) - row_min).sum() / n + reg),
+        "subgrad_h": sub.ravel(),
+        "dir_deriv_h": float(
+            deriv.max(axis=1).sum() / n + problem.rho * np.dot(xa, direction)
+        ),
+        "phi_direct": float(row_min.mean()),
+    }
+
+
+def _bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 16])
+@pytest.mark.parametrize("rows", ["1", "B-1", "B", "B+1", "2B+3"])
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim_space=st.sampled_from([2, 3, 1]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    hit=st.booleans(),
+    tie=st.booleans(),
+    integer=st.booleans(),
+)
+def test_blocked_pass_matches_whole_matrix_formulas(
+    k, rows, seed, dim_space, scale, hit, tie, integer
+):
+    """The distance matrix and every oracle have the old formulas' bits,
+    with the data split in one, two or three blocks, on exact hits, tied
+    centroids and an integer-dtype point."""
+    b = max(2, _BLOCK // k)  # rows per block
+    n = {"1": 1, "B-1": b - 1, "B": b, "B+1": b + 1, "2B+3": 2 * b + 3}[rows]
+    rng = np.random.default_rng(seed)
+    points = np.round(rng.normal(0.0, scale, (n, dim_space)), 2)
+    problem = MsscProblem(ClusterData(points), k)
+    centroids = rng.normal(0.0, scale, (k, dim_space))
+    if hit:  # a centroid on a data point: a zero distance
+        centroids[-1] = points[rng.integers(n)]
+    if tie and k > 1:  # two equal centroids: tied distances
+        centroids[0] = centroids[-1]
+    x = centroids.ravel()
+    if integer:
+        x = np.round(x).astype(np.int64)
+    direction = rng.normal(0.0, 1.0, problem.dim)
+    dists, expected = _whole_matrix_oracles(problem, x, direction)
+    # One element off by an ulp rarely survives into the oracles' sums.
+    assert problem._at(x)[1].dists.tobytes() == dists.tobytes(), (n, k)
+    for name, value in expected.items():
+        if name == "dir_deriv_h":
+            got = problem.dir_deriv_h(x, direction)
+        else:
+            got = getattr(problem, name)(x)
+        assert _bits(got) == _bits(value), (name, n, k)
+
+
+def test_point_oracles_allocate_one_matrix_per_point():
+    """A new point allocates one n-by-k matrix plus O(n) vectors and one
+    block, not the whole-matrix temporaries of a broadcast formula."""
+    import tracemalloc
+
+    problem = MsscProblem(generate_blobs(16, 1250, seed=0), k=16)
+    n = problem.data.n
+    rng = np.random.default_rng(0)
+    first, second = problem.sample_start(rng), problem.sample_start(rng)
+    problem.eval_g(first)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        problem.eval_g(second)
+        problem.eval_h(second)
+        problem.subgrad_h(second)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix, vector = n * problem.k * 8, n * 8
+    assert peak - before < matrix + 8 * vector + 8 * _BLOCK
