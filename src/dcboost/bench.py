@@ -11,6 +11,7 @@ but are the one field excluded from that contract.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -118,17 +119,19 @@ def classify_limit_point(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    pts = [np.asarray(p, dtype=float) for _, p in references]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if _norm(pts[i] - pts[j]) <= 2.0 * tol:
+    # On plain float tuples the spacing check costs a fraction of array
+    # arithmetic; it runs on every call.
+    coords = [tuple(map(float, p)) for _, p in references]
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            if math.dist(coords[i], coords[j]) <= 2.0 * tol:
                 raise ValueError(
                     f"references {references[i][0]!r} and {references[j][0]!r} "
                     f"are too close for tol={tol}"
                 )
     x = np.asarray(x, dtype=float)
-    for (label, _), p in zip(references, pts):
-        if _norm(x - p) <= tol:
+    for label, p in references:
+        if _norm(x - np.asarray(p, dtype=float)) <= tol:
             return label
     return UNCLASSIFIED
 

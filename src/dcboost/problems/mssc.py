@@ -22,6 +22,7 @@ runs deterministic.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -150,6 +151,19 @@ class MsscProblem(DcProblem):
     saw, keyed by that point's float64 bytes.  Every result is
     bit-identical to a fresh instance's, and the entry is replaced by one
     assignment, so a shared instance stays safe.
+
+    A new point is built from the last one when the matrix spans more
+    than one row block (n*k > ``_BLOCK``), the last total is finite and
+    at most k/4 centroids differ by their bytes, as with the direct-search
+    probes ``y +- mu*e_i``, which move one or two.  Only the moved columns
+    are recomputed, with the same formula and row blocks; a single moved
+    column is multiplied next to a copy of itself, because numpy sends a
+    one-column product through gemv, which rounds differently from gemm.
+    The labels stay exact: a row whose nearest centroid moved is scanned
+    again, any other row takes a moved column only if it is smaller, or
+    equal at a smaller index (argmin's first-index rule).  The row sums
+    and the total are taken as in a whole pass, and a non-finite distance
+    sends the point to a whole pass.
     """
 
     def __init__(self, data: ClusterData, k: int, rho: float | None = None):
@@ -167,6 +181,20 @@ class MsscProblem(DcProblem):
         self._a_sq[:, 0] = np.einsum("ij,ij->i", self._a, self._a)
         # Flat index of each row's first distance.
         self._row_start = np.arange(data.n) * self.k
+        # Row blocks [lo, hi) of about _BLOCK distances.  numpy multiplies
+        # a single row through another BLAS routine, whose roundings
+        # differ; a lone last row joins its block.
+        rows = max(2, _BLOCK // self.k)
+        self._blocks: list[tuple[int, int]] = []
+        lo = 0
+        while lo < data.n:
+            hi = data.n if lo + rows >= data.n - 1 else lo + rows
+            self._blocks.append((lo, hi))
+            lo = hi
+        self._block_rows = max(hi - lo for lo, hi in self._blocks)
+        # Below one block the numpy calls of a column update cost more
+        # than the whole pass.
+        self._column_updates = data.n * self.k > _BLOCK
         self._memo: tuple = (None, None)
 
     def _centroids(self, x: Point) -> np.ndarray:
@@ -177,7 +205,7 @@ class MsscProblem(DcProblem):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(n, k) matrix of squared distances data-point-to-centroid, with
         each row's nearest-centroid label and sum, built in one pass over
-        row blocks of about ``_BLOCK`` distances.
+        the row blocks.
 
         Every element is ``|a|^2 + |c|^2 - 2 a.c`` clamped at 0 and rounded
         as that expression rounds: scaling by -2 is exact and ``s - 2m`` is
@@ -188,55 +216,133 @@ class MsscProblem(DcProblem):
         d = np.empty((n, k))
         labels = np.empty(n, dtype=np.intp)
         row_sums = np.empty(n)
+        c_sq = self._c_sq(c)
+        ct = c.T
+        sq = np.empty((self._block_rows, k))
+        for lo, hi in self._blocks:
+            blk = d[lo:hi]
+            np.matmul(self._a[lo:hi], ct, out=blk)
+            self._finish(blk, lo, hi, c_sq, sq[: hi - lo])
+            # argmin takes the first hit: the smallest-index tie-break.
+            blk.argmin(axis=1, out=labels[lo:hi])
+            np.add.reduce(blk, axis=1, out=row_sums[lo:hi])
+        return d, labels, row_sums
+
+    @staticmethod
+    def _c_sq(c: np.ndarray) -> np.ndarray:
+        """Columns [1, |c_j|^2]; see :meth:`_finish`."""
+        c_sq = np.ones((2, c.shape[0]))
+        np.einsum("ij,ij->i", c, c, out=c_sq[1])
+        return c_sq
+
+    def _finish(
+        self,
+        prod: np.ndarray,
+        lo: int,
+        hi: int,
+        c_sq: np.ndarray,
+        sq: np.ndarray,
+    ) -> None:
+        """Turns the products ``a.c`` of data rows lo..hi into squared
+        distances ``|a|^2 + |c|^2 - 2 a.c`` clamped at 0, in place, with
+        ``sq`` (same shape) as scratch."""
+        prod *= -2.0
         # |a|^2 + |c|^2 as the product of rows [|a|^2, 1] and columns
         # [1, |c|^2]: both products are exact, so in any order, fused or
         # not, the result is the plain sum rounded once, and the product
         # costs a quarter of a broadcast add.
-        c_sq = np.ones((2, k))
-        np.einsum("ij,ij->i", c, c, out=c_sq[1])
-        ct = c.T
-        rows = max(2, _BLOCK // k)
-        sq = np.empty((min(n, rows + 1), k))
-        lo = 0
-        while lo < n:
-            hi = lo + rows
-            # numpy multiplies a single row through another BLAS routine,
-            # whose roundings differ; a lone last row joins its block.
-            if hi >= n - 1:
-                hi = n
+        prod += np.matmul(self._a_sq[lo:hi], c_sq, out=sq)
+        # Rounding can leave tiny negatives on exact hits.
+        np.maximum(prod, 0.0, out=prod)
+
+    def _update_columns(
+        self, c: np.ndarray, prev: _PointEval, cols: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float] | None:
+        """The distances, labels, row sums, row minima and total at
+        centroids ``c`` from the entry ``prev`` of centroids that differ
+        only in rows ``cols`` (ascending), with the bits of
+        :meth:`_sq_dists`; None if a distance is not finite."""
+        m, js = cols.size, cols.tolist()
+        old = prev.dists
+        d = np.empty_like(old)
+        labels = prev.labels.copy()
+        row_sums = np.empty(self.data.n)
+        row_min = prev.row_min.copy()
+        # numpy multiplies by a single column through gemv, whose
+        # roundings differ from gemm's; a duplicate keeps it in gemm.
+        ct = c[cols if m > 1 else cols.repeat(2)].T
+        c_sq = self._c_sq(c)[:, cols]
+        # The products run over the row blocks of _sq_dists, everything
+        # else over runs of blocks whose products and squared norms take
+        # about _BLOCK values, so one small buffer holds both.
+        w = ct.shape[1]
+        block = self._blocks[0][1] - self._blocks[0][0]
+        span = max(1, _BLOCK // ((w + m) * block))
+        runs = [self._blocks[i : i + span] for i in range(0, len(self._blocks), span)]
+        size = max(run[-1][1] - run[0][0] for run in runs)
+        work = np.empty(size * (w + m))
+        prod = work[: size * w].reshape(size, w)
+        sq = work[size * w :].reshape(size, m)
+        for run in runs:
+            lo, hi = run[0][0], run[-1][1]
+            for b_lo, b_hi in run:
+                np.matmul(self._a[b_lo:b_hi], ct, out=prod[b_lo - lo : b_hi - lo])
+            new = prod[: hi - lo, :m]
+            self._finish(new, lo, hi, c_sq, sq[: hi - lo])
             blk = d[lo:hi]
-            blk_sq = sq[: hi - lo]
-            np.matmul(self._a[lo:hi], ct, out=blk)
-            blk *= -2.0
-            np.matmul(self._a_sq[lo:hi], c_sq, out=blk_sq)
-            blk += blk_sq
-            # Rounding can leave tiny negatives on exact hits.
-            np.maximum(blk, 0.0, out=blk)
-            # argmin takes the first hit: the smallest-index tie-break.
-            blk.argmin(axis=1, out=labels[lo:hi])
+            blk[...] = old[lo:hi]
+            # A row keeps its nearest centroid unless a moved column is
+            # smaller, or equal at a smaller index: argmin's first-index
+            # rule, column by column in increasing order.
+            lab, low = labels[lo:hi], row_min[lo:hi]
+            for t, j in enumerate(js):
+                col = new[:, t]
+                blk[:, j] = col
+                win = col < low
+                win |= (col == low) & (lab > j)
+                np.copyto(lab, j, where=win)
+                np.copyto(low, col, where=win)
+            # Row sums depend on their row alone, as in _sq_dists.
             np.add.reduce(blk, axis=1, out=row_sums[lo:hi])
-            lo = hi
-        return d, labels, row_sums
+        total = float(d.sum())
+        if not math.isfinite(total):
+            return None
+        # A row whose nearest centroid moved is scanned again.
+        stale = prev.labels == js[0]
+        for j in js[1:]:
+            stale |= prev.labels == j
+        rows = np.flatnonzero(stale)
+        labels[rows] = d[rows].argmin(axis=1)
+        row_min[rows] = d.ravel()[self._row_start[rows] + labels[rows]]
+        return d, labels, row_sums, row_min, total
 
     def _at(self, x: Point) -> tuple[np.ndarray, _PointEval]:
         """Centroids at ``x`` and everything the oracles read there; the
-        last point's entry is reused."""
+        last point's entry is reused, or updated column by column when
+        few of its centroids moved."""
         c = self._centroids(x)
         key = c.tobytes()
-        memo = self._memo
-        if memo[0] == key:
-            return c, memo[1]
-        d, labels, row_sums = self._sq_dists(c)
-        # Picking the minimum by its index rounds nothing, so this equals
-        # d.min(axis=1) bit for bit, at a fraction of the cost.
-        row_min = d.ravel()[self._row_start + labels]
-        for arr in (d, labels, row_sums, row_min):
+        prev_key, prev = self._memo
+        if prev_key == key:
+            return c, prev
+        built = None
+        if self._column_updates and prev is not None and math.isfinite(prev.total):
+            # Rows compared by their bits: -0.0 against 0.0 counts as moved.
+            bits = np.frombuffer(key, np.uint64), np.frombuffer(prev_key, np.uint64)
+            moved = (bits[0] != bits[1]).reshape(self.k, -1).any(axis=1)
+            cols = np.flatnonzero(moved)
+            if 4 * cols.size <= self.k:
+                built = self._update_columns(c, prev, cols)
+        if built is None:
+            d, labels, row_sums = self._sq_dists(c)
+            # Picking the minimum by its index rounds nothing, so this
+            # equals d.min(axis=1) bit for bit, at a fraction of the cost.
+            row_min = d.ravel()[self._row_start + labels]
+            built = d, labels, row_sums, row_min, float(d.sum())
+        for arr in built[:4]:
             arr.flags.writeable = False
         flat = c.ravel()
-        entry = _PointEval(
-            d, labels, row_sums, row_min, float(d.sum()),
-            0.5 * self.rho * float(np.dot(flat, flat)),
-        )
+        entry = _PointEval(*built, 0.5 * self.rho * float(np.dot(flat, flat)))
         self._memo = (key, entry)
         return c, entry
 

@@ -149,10 +149,10 @@ def _norm(v: Point) -> float:
 
 def _dc_step(
     problem: DcProblem, x: Point, phi_x: float
-) -> tuple[Point, Point, Point, float]:
+) -> tuple[Point, Point, Point, float, float]:
     """One linearize-and-solve step with its contract checks.
 
-    Returns (y, d, u, phi_y).
+    Returns (y, d, u, phi_y, ||d||^2).
     """
     u = problem.subgrad_h(x)
     y = problem.solve_subproblem(u)
@@ -164,13 +164,14 @@ def _dc_step(
         )
     d = y - x
     phi_y = eval_phi(problem, y)
-    bound = phi_x - problem.rho * float(np.dot(d, d))
+    dd = float(np.dot(d, d))
+    bound = phi_x - problem.rho * dd
     if phi_y > bound + DESCENT_SLACK * (1.0 + abs(phi_x)):
         raise ProblemDefinitionError(
             f"descent guarantee violated: phi(y)={phi_y!r} > "
             f"phi(x) - rho*||d||^2 = {bound!r}"
         )
-    return y, d, u, phi_y
+    return y, d, u, phi_y, dd
 
 
 def dca_step(problem: DcProblem, x_k: Point) -> tuple[Point, Point, Point]:
@@ -179,7 +180,7 @@ def dca_step(problem: DcProblem, x_k: Point) -> tuple[Point, Point, Point]:
     ``d_k = y_k - x_k``."""
     x_k = as_point(x_k, problem.dim)
     phi_x = eval_phi(problem, x_k)
-    y, d, u, _ = _dc_step(problem, x_k, phi_x)
+    y, d, u, _, _ = _dc_step(problem, x_k, phi_x)
     return y, d, u
 
 
@@ -191,11 +192,12 @@ def _armijo(
     lambda_trial: float,
     alpha: float,
     beta1: float,
+    dd: float,
 ) -> tuple[float, float]:
-    """Backtracking with cached phi(y); returns (lambda, phi at the move)."""
+    """Backtracking with cached phi(y) and ``dd = ||d||^2``; returns
+    (lambda, phi at the move)."""
     if lambda_trial <= 0.0:
         return 0.0, phi_y
-    dd = float(np.dot(d, d))
     if dd == 0.0:
         return 0.0, phi_y
     lam = float(lambda_trial)
@@ -234,7 +236,9 @@ def armijo_backtrack(
     logged warning; both are floating-point guards, not expected paths.
     """
     phi_y = eval_phi(problem, y_k)
-    lam, _ = _armijo(problem, y_k, d_k, phi_y, lambda_trial, alpha, beta1)
+    lam, _ = _armijo(
+        problem, y_k, d_k, phi_y, lambda_trial, alpha, beta1, float(np.dot(d_k, d_k))
+    )
     return lam
 
 
@@ -353,13 +357,13 @@ def _drive(
     final, final_phi = x, phi_x
     t0 = time.perf_counter()
     for k in range(params.max_iter):
-        y, d, u, phi_y = _dc_step(problem, x, phi_x)
-        norm_d = _norm(d)
-        if norm_d > params.eps1:
+        y, d, u, phi_y, dd = _dc_step(problem, x, phi_x)
+        # math.sqrt(dd) has the bits of _norm(d).
+        if math.sqrt(dd) > params.eps1:
             if boost:
                 trial = rule(state, params.gamma, params.lambda_bar1)
                 lam, phi_next = _armijo(
-                    problem, y, d, phi_y, trial, params.alpha, params.beta1
+                    problem, y, d, phi_y, trial, params.alpha, params.beta1, dd
                 )
                 state.advance(lam, trial)
             else:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dcboost import (
     ClusterData,
     MsscProblem,
+    SolverParams,
     Termination,
     eval_phi,
     generate_blobs,
@@ -17,6 +18,8 @@ from dcboost import (
     run_dca,
 )
 from dcboost.problems.mssc import _BLOCK
+from dcboost.solvers import DfoState, dfo_escape
+from dcboost.spanning import make_d1
 
 
 def test_cluster_data_mean_and_immutability():
@@ -573,3 +576,137 @@ def test_point_oracles_allocate_one_matrix_per_point():
         tracemalloc.stop()
     matrix, vector = n * problem.k * 8, n * 8
     assert peak - before < matrix + 8 * vector + 8 * _BLOCK
+
+
+# ---------------------------------------------------------------------------
+# Column updates: a point that moves few centroids of the last point reuses
+# its distances, with the bits of a whole pass.
+
+
+def _memo_bits(problem, x):
+    """Bytes of everything the memo entry holds at ``x``."""
+    return [np.asarray(v).tobytes() for v in problem._at(x)[1]]
+
+
+_move = st.tuples(
+    st.just("move"),
+    st.lists(st.integers(0, 15), min_size=1, max_size=16, unique=True),
+    st.sampled_from(["jitter", "copy", "hit", "zero", "huge"]),
+)
+_scan = st.tuples(
+    st.just("scan"), st.sampled_from([0.5, 2.0**-7, 0.3]), st.integers(1, 2)
+)
+
+
+@pytest.mark.parametrize(
+    "k, n",
+    [(8, _BLOCK // 8 + 2), (16, 3 * (_BLOCK // 16) + 1)],
+    ids=["k8-two-blocks", "k16-lone-last-row"],
+)
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.booleans(),
+    steps=st.lists(st.one_of(_move, _scan), min_size=1, max_size=4),
+)
+@example(seed=0, grid=False, steps=[("scan", 0.5, 2), ("move", [3], "copy")])
+@example(seed=1, grid=True, steps=[("move", [0, 5], "copy"), ("scan", 0.3, 1)])
+@example(seed=2, grid=False, steps=[("move", [1], "huge"), ("move", [2], "jitter")])
+def test_column_updates_match_fresh_instance(k, n, seed, grid, steps):
+    """Points that move 1..k centroids of the point before, including the
+    D1 probes y +- mu*e_i in the order a direct-search scan makes them, on
+    data above one block: the memo and every oracle have the bits of a
+    fresh instance and, where finite, of the whole-matrix formulas.
+
+    ``grid`` puts data and centroids on integers, so that equidistant
+    centroids tie exactly; "copy" moves centroids onto others (tied
+    columns), "hit" onto data points (zero distances), "zero" flips the
+    sign of zero coordinates (moved by their bytes only), and "huge"
+    makes a column non-finite."""
+    rng = np.random.default_rng(seed)
+    dim_space = 2
+    points = rng.normal(0.0, 3.0, (n, dim_space))
+    points = np.round(points) if grid else np.round(points, 2)
+    data = ClusterData(points)
+    shared = MsscProblem(data, k)
+    pss = make_d1(k * dim_space)
+    y = rng.normal(0.0, 3.0, (k, dim_space))
+    if grid:
+        y = np.round(y)
+    direction = rng.normal(0.0, 1.0, k * dim_space)
+
+    def oracles(problem, x):
+        return {
+            name: _bits(
+                problem.dir_deriv_h(x, direction)
+                if name == "dir_deriv_h"
+                else getattr(problem, name)(x)
+            )
+            for name in POINT_ORACLES
+        }
+
+    def check(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _memo_bits(shared, x)  # the first call at x builds it
+            fresh = MsscProblem(data, k)
+            assert got == _memo_bits(fresh, x)
+            values = oracles(shared, x)
+            assert values == oracles(fresh, x)
+        if not np.isfinite(shared._at(x)[1].total):
+            return
+        dists, expected = _whole_matrix_oracles(shared, x, direction)
+        assert got[0] == dists.tobytes()
+        assert values == {name: _bits(v) for name, v in expected.items()}
+
+    check(y.ravel())
+    for step in steps:
+        if step[0] == "scan":
+            _, mu, radii = step
+            x = y.ravel().copy()
+            for r in range(radii):
+                for probe in x + (mu * 0.5**r) * pss.directions:
+                    check(probe)
+            continue
+        _, rows, kind = step
+        y = y.copy()
+        for j in (r % k for r in rows):
+            if kind == "jitter":
+                y[j] += np.round(rng.normal(0.0, 1.0, dim_space), 0 if grid else 6)
+            elif kind == "copy":
+                y[j] = y[rng.integers(k)]
+            elif kind == "hit":
+                y[j] = points[rng.integers(n)]
+            elif kind == "zero":
+                y[j] = np.where(y[j] == 0.0, -y[j], 0.0)
+            else:
+                y[j] = 1e200
+        check(y.ravel())
+
+
+def test_certification_scan_makes_no_whole_pass_per_probe(matrix_count, monkeypatch):
+    """A D1 scan that certifies its point on data above one block updates
+    one or two columns per probe instead of building a new matrix."""
+    data = generate_blobs(8, 150, spread=0.5, seed=3)
+    params = SolverParams()
+    problem = MsscProblem(data, k=8)
+    assert data.n * problem.k > _BLOCK
+    x0 = problem.sample_start(np.random.default_rng(3))
+    y = run_bdca_plus(problem, x0).final_point
+    evals = {"eval_g": 0}
+    eval_g = MsscProblem.eval_g
+
+    def counted_eval_g(self, x):
+        evals["eval_g"] += 1
+        return eval_g(self, x)
+
+    monkeypatch.setattr(MsscProblem, "eval_g", counted_eval_g)
+    problem = MsscProblem(data, k=8)
+    problem.eval_g(y)
+    before = matrix_count["matrices"]
+    evals["eval_g"] = 0
+    pss = make_d1(problem.dim)
+    outcome = dfo_escape(problem, y, pss, DfoState(mu=params.mu_bar), params)
+    assert not outcome.escaped
+    probes = len(outcome.event.mu_tried) * len(pss.directions)
+    assert evals["eval_g"] == 1 + probes
+    assert matrix_count["matrices"] == before
