@@ -29,6 +29,17 @@ GOLDEN = {
         0,
         {"run.json": "cbbd2f303780afd310ce0e8cb18f12387d4cd2c18109adaee21faee6cd58c7fb"},
     ),
+    # n*k = 9600 spans two distance blocks, so the direct-search probes
+    # take the column path of MsscProblem.
+    "solve_mssc_two_blocks": (
+        ["solve", "--problem", "mssc", "--algo", "bdca+", "--blobs", "8x150",
+         "--k", "8", "--seed", "3", "--json", "run.json", "--trace-csv", "trace.csv"],
+        0,
+        {
+            "run.json": "2265efde41596e654e08ae55a98481003b90b78ae86be35915534d9a44005cc6",
+            "trace.csv": "735d288c4cdfb50473ec9c36fc0a4b0fb8340c3191df478e4dab7d3822d5e574",
+        },
+    ),
     "check": (
         ["check", "--problem", "example2d", "--point=0,-1", "--json", "check.json"],
         3,
