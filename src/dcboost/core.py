@@ -294,9 +294,10 @@ class DcProblem(ABC):
     strong-convexity modulus of both components, > 0) and implement the
     five oracles below.  All oracles must be pure: instances are treated
     as immutable and may be shared across concurrent runs.  A problem may
-    keep a private memo (say, of work shared by the oracles at one point)
-    as long as every result stays bit-identical to a fresh instance's and
-    a shared instance stays safe under concurrent calls.
+    keep private per-thread buffers (say, of work shared by the oracles at
+    one point, updated in place from one point to the next) as long as
+    every result stays bit-identical to a fresh instance's and a shared
+    instance stays safe under concurrent calls.
 
     ``solve_subproblem(u)`` must return the unique minimizer ``y`` of
     ``g(x) - <u, x>``, i.e. the point with ``grad_g(y) = u``.  Solvers

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -128,6 +129,50 @@ def load_points_csv(path: str | os.PathLike) -> ClusterData:
     return ClusterData(np.array(rows))
 
 
+def _row_sum_plan(k: int) -> list[tuple[int, int]]:
+    """The additions ``np.add.reduce(d, axis=1)`` makes over a row of k
+    values, in order, as (left, right) operand pairs: an operand
+    0 <= j < k is column j, k + i is the result of addition i, and -1 is
+    0.0.  The last addition gives the row sum.
+
+    numpy adds each row pairwise: fewer than 8 terms in sequence; up to
+    128 terms in 8 accumulators (accumulator q takes terms q, q+8, ...
+    while whole groups of 8 remain), which a fixed tree adds before the
+    remaining terms follow in sequence; more than 128 terms as two halves,
+    the first a multiple of 8 long.  The reduction starts from 0.0.
+    """
+    plan: list[tuple[int, int]] = []
+
+    def add(left: int, right: int) -> int:
+        plan.append((left, right))
+        return k + len(plan) - 1
+
+    def pairwise(lo: int, n: int) -> int:
+        if n < 8:
+            res = lo
+            for i in range(lo + 1, lo + n):
+                res = add(res, i)
+            return res
+        if n <= 128:
+            r = list(range(lo, lo + 8))
+            i = 8
+            while i < n - n % 8:
+                r = [add(r[q], lo + i + q) for q in range(8)]
+                i += 8
+            res = add(
+                add(add(r[0], r[1]), add(r[2], r[3])),
+                add(add(r[4], r[5]), add(r[6], r[7])),
+            )
+            for i in range(i, n):
+                res = add(res, lo + i)
+            return res
+        half = n // 2 - (n // 2) % 8
+        return add(pairwise(lo, half), pairwise(lo + half, n - half))
+
+    add(-1, pairwise(0, k))
+    return plan
+
+
 class _PointEval(NamedTuple):
     """What the oracles read at one point."""
 
@@ -139,31 +184,62 @@ class _PointEval(NamedTuple):
     reg: float  # (rho/2) * ||x||^2
 
 
+class _Workspace:
+    """One thread's buffers, rewritten in place for every new point: the
+    distances, labels, row sums and minima of the point ``key`` (None
+    while they are being written), and the partial row sums."""
+
+    def __init__(self, n: int, k: int):
+        self.key: bytes | None = None
+        self.entry: _PointEval | None = None
+        self.dists = np.empty((n, k))
+        self.labels = np.empty(n, dtype=np.intp)
+        self.row_sums = np.empty(n)
+        self.row_min = np.empty(n)
+        self.views = [
+            a.view() for a in (self.dists, self.labels, self.row_sums, self.row_min)
+        ]
+        for v in self.views:
+            v.flags.writeable = False
+        # The operands of the row-sum plan (see _add_row_sums), made at the
+        # first column update; the partial sums among them belong to the
+        # point only while sums_valid, which a whole pass clears.
+        self.operands: list | None = None
+        self.sums_valid = False
+
+
 class MsscProblem(DcProblem):
     """The clustering objective above as a :class:`DcProblem`.
 
     The decision vector concatenates the k centroids; ``dim`` is
     ``k * data.dim_space``.  ``rho`` defaults to ``1 / (n * k)``.
 
-    The oracles at one point share one pass over the data: the instance
-    keeps the n-by-k distance matrix, the nearest-centroid labels, the row
-    sums and minima, the total and the regulariser of the last point it
-    saw, keyed by that point's float64 bytes.  Every result is
-    bit-identical to a fresh instance's, and the entry is replaced by one
-    assignment, so a shared instance stays safe.
+    The oracles at one point share one pass over the data.  Each thread
+    that calls the instance gets its own buffers, which hold the n-by-k
+    distance matrix, the nearest-centroid labels, the row sums and minima
+    of the last point it saw, keyed by that point's float64 bytes, and
+    which every new point rewrites in place.  Every result is
+    bit-identical to a fresh instance's, and threads never share a
+    buffer, so a shared instance stays safe.
 
-    A new point is built from the last one when the matrix spans more
-    than one row block (n*k > ``_BLOCK``), the last total is finite and
-    at most k/4 centroids differ by their bytes, as with the direct-search
-    probes ``y +- mu*e_i``, which move one or two.  Only the moved columns
-    are recomputed, with the same formula and row blocks; a single moved
-    column is multiplied next to a copy of itself, because numpy sends a
-    one-column product through gemv, which rounds differently from gemm.
-    The labels stay exact: a row whose nearest centroid moved is scanned
+    A new point is built from the last one, in place, when the matrix
+    spans more than one row block (n*k > ``_BLOCK``), the last total is
+    finite and at most k/4 centroids differ by their bytes, as with the
+    direct-search probes ``y +- mu*e_i``, which move one or two.  Only the
+    moved columns are recomputed, with the same formula, as rows
+    ``c_j @ a.T`` that gemm rounds as the whole pass's ``a @ c.T``; a
+    single one is multiplied next to a copy of itself, because numpy
+    sends a one-row product through gemv, which rounds differently.  The
+    labels stay exact: a row whose nearest centroid moved is scanned
     again, any other row takes a moved column only if it is smaller, or
     equal at a smaller index (argmin's first-index rule).  The row sums
-    and the total are taken as in a whole pass, and a non-finite distance
-    sends the point to a whole pass.
+    follow numpy's pairwise order (:func:`_row_sum_plan`): the buffers
+    keep the k-1 partial sums of each row, built at the first column
+    update after a whole pass, and only those on the paths from the moved
+    columns are added again.  The total is ``dists.sum()`` as in a whole
+    pass, and a non-finite total sends the point to a whole pass.  That
+    sum and the strided writes of the moved columns still touch the whole
+    matrix.
     """
 
     def __init__(self, data: ClusterData, k: int, rho: float | None = None):
@@ -195,7 +271,24 @@ class MsscProblem(DcProblem):
         # Below one block the numpy calls of a column update cost more
         # than the whole pass.
         self._column_updates = data.n * self.k > _BLOCK
-        self._memo: tuple = (None, None)
+        self._sum_plan = _row_sum_plan(self.k)
+        self._local = threading.local()
+
+    def __getstate__(self) -> dict:
+        # The per-thread buffers are rebuilt on first use.
+        state = self.__dict__.copy()
+        del state["_local"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._local = threading.local()
+
+    def _workspace(self) -> _Workspace:
+        ws = getattr(self._local, "ws", None)
+        if ws is None:
+            ws = self._local.ws = _Workspace(self.data.n, self.k)
+        return ws
 
     def _centroids(self, x: Point) -> np.ndarray:
         return np.asarray(x, dtype=float).reshape(self.k, self.data.dim_space)
@@ -205,24 +298,28 @@ class MsscProblem(DcProblem):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(n, k) matrix of squared distances data-point-to-centroid, with
         each row's nearest-centroid label and sum, built in one pass over
-        the row blocks.
+        the row blocks into the calling thread's buffers.
 
         Every element is ``|a|^2 + |c|^2 - 2 a.c`` clamped at 0 and rounded
         as that expression rounds: scaling by -2 is exact and ``s - 2m`` is
         the same operation as ``-2m + s``.  Labels and row sums depend on
         their row alone, so the block size changes no bit.
         """
-        n, k = self.data.n, self.k
-        d = np.empty((n, k))
-        labels = np.empty(n, dtype=np.intp)
-        row_sums = np.empty(n)
+        ws = self._workspace()
+        ws.key = None
+        ws.sums_valid = False
+        d, labels, row_sums = ws.dists, ws.labels, ws.row_sums
         c_sq = self._c_sq(c)
         ct = c.T
-        sq = np.empty((self._block_rows, k))
+        sq = np.empty((self._block_rows, self.k))
         for lo, hi in self._blocks:
             blk = d[lo:hi]
             np.matmul(self._a[lo:hi], ct, out=blk)
-            self._finish(blk, lo, hi, c_sq, sq[: hi - lo])
+            # |a|^2 + |c|^2 as the product of rows [|a|^2, 1] and columns
+            # [1, |c|^2]: both products are exact, so in any order, fused
+            # or not, the result is the plain sum rounded once, and the
+            # product costs a quarter of a broadcast add.
+            self._finish(blk, np.matmul(self._a_sq[lo:hi], c_sq, out=sq[: hi - lo]))
             # argmin takes the first hit: the smallest-index tie-break.
             blk.argmin(axis=1, out=labels[lo:hi])
             np.add.reduce(blk, axis=1, out=row_sums[lo:hi])
@@ -230,121 +327,115 @@ class MsscProblem(DcProblem):
 
     @staticmethod
     def _c_sq(c: np.ndarray) -> np.ndarray:
-        """Columns [1, |c_j|^2]; see :meth:`_finish`."""
+        """Columns [1, |c_j|^2]; see :meth:`_sq_dists`."""
         c_sq = np.ones((2, c.shape[0]))
         np.einsum("ij,ij->i", c, c, out=c_sq[1])
         return c_sq
 
-    def _finish(
-        self,
-        prod: np.ndarray,
-        lo: int,
-        hi: int,
-        c_sq: np.ndarray,
-        sq: np.ndarray,
-    ) -> None:
-        """Turns the products ``a.c`` of data rows lo..hi into squared
-        distances ``|a|^2 + |c|^2 - 2 a.c`` clamped at 0, in place, with
-        ``sq`` (same shape) as scratch."""
+    @staticmethod
+    def _finish(prod: np.ndarray, sq: np.ndarray) -> None:
+        """Turns products ``a.c`` into squared distances
+        ``|a|^2 + |c|^2 - 2 a.c`` clamped at 0, in place, given
+        ``sq = |a|^2 + |c|^2`` laid out as ``prod`` is."""
         prod *= -2.0
-        # |a|^2 + |c|^2 as the product of rows [|a|^2, 1] and columns
-        # [1, |c|^2]: both products are exact, so in any order, fused or
-        # not, the result is the plain sum rounded once, and the product
-        # costs a quarter of a broadcast add.
-        prod += np.matmul(self._a_sq[lo:hi], c_sq, out=sq)
+        prod += sq
         # Rounding can leave tiny negatives on exact hits.
         np.maximum(prod, 0.0, out=prod)
 
     def _update_columns(
-        self, c: np.ndarray, prev: _PointEval, cols: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float] | None:
-        """The distances, labels, row sums, row minima and total at
-        centroids ``c`` from the entry ``prev`` of centroids that differ
-        only in rows ``cols`` (ascending), with the bits of
-        :meth:`_sq_dists`; None if a distance is not finite."""
+        self, ws: _Workspace, c: np.ndarray, cols: np.ndarray
+    ) -> float | None:
+        """Moves the point in ``ws`` in place to centroids ``c``, which
+        differ from its own only in rows ``cols`` (ascending), with the
+        bits of :meth:`_sq_dists`; returns the total, or None, with the
+        buffers left for a whole pass, if the total is not finite."""
         m, js = cols.size, cols.tolist()
-        old = prev.dists
-        d = np.empty_like(old)
-        labels = prev.labels.copy()
-        row_sums = np.empty(self.data.n)
-        row_min = prev.row_min.copy()
-        # numpy multiplies by a single column through gemv, whose
-        # roundings differ from gemm's; a duplicate keeps it in gemm.
-        ct = c[cols if m > 1 else cols.repeat(2)].T
-        c_sq = self._c_sq(c)[:, cols]
-        # The products run over the row blocks of _sq_dists, everything
-        # else over runs of blocks whose products and squared norms take
-        # about _BLOCK values, so one small buffer holds both.
-        w = ct.shape[1]
-        block = self._blocks[0][1] - self._blocks[0][0]
-        span = max(1, _BLOCK // ((w + m) * block))
-        runs = [self._blocks[i : i + span] for i in range(0, len(self._blocks), span)]
-        size = max(run[-1][1] - run[0][0] for run in runs)
-        work = np.empty(size * (w + m))
-        prod = work[: size * w].reshape(size, w)
-        sq = work[size * w :].reshape(size, m)
-        for run in runs:
-            lo, hi = run[0][0], run[-1][1]
-            for b_lo, b_hi in run:
-                np.matmul(self._a[b_lo:b_hi], ct, out=prod[b_lo - lo : b_hi - lo])
-            new = prod[: hi - lo, :m]
-            self._finish(new, lo, hi, c_sq, sq[: hi - lo])
-            blk = d[lo:hi]
-            blk[...] = old[lo:hi]
+        d, labels, row_min = ws.dists, ws.labels, ws.row_min
+        # The moved columns are built as contiguous rows, c_j @ a.T: gemm
+        # forms each product a.c as the same chain over the coordinates
+        # as the whole pass's a @ c.T.  numpy multiplies a single row
+        # through gemv, whose roundings differ; a duplicate keeps it in
+        # gemm.
+        new = np.matmul(c[cols if m > 1 else cols.repeat(2)], self._a.T)[:m]
+        # The plain sum |a|^2 + |c|^2, rounded once as in the whole pass.
+        self._finish(new, self._a_sq[:, 0] + self._c_sq(c)[1, cols, None])
+        # A row whose nearest centroid moves is scanned again below.
+        stale = labels == js[0]
+        for j in js[1:]:
+            stale |= labels == j
+        for col, j in zip(new, js):
+            d[:, j] = col
             # A row keeps its nearest centroid unless a moved column is
             # smaller, or equal at a smaller index: argmin's first-index
             # rule, column by column in increasing order.
-            lab, low = labels[lo:hi], row_min[lo:hi]
-            for t, j in enumerate(js):
-                col = new[:, t]
-                blk[:, j] = col
-                win = col < low
-                win |= (col == low) & (lab > j)
-                np.copyto(lab, j, where=win)
-                np.copyto(low, col, where=win)
-            # Row sums depend on their row alone, as in _sq_dists.
-            np.add.reduce(blk, axis=1, out=row_sums[lo:hi])
+            win = col < row_min
+            tie = col == row_min
+            if tie.any():
+                win |= tie & (labels > j)
+            np.copyto(labels, j, where=win)
+            np.copyto(row_min, col, where=win)
         total = float(d.sum())
         if not math.isfinite(total):
             return None
-        # A row whose nearest centroid moved is scanned again.
-        stale = prev.labels == js[0]
-        for j in js[1:]:
-            stale |= prev.labels == j
         rows = np.flatnonzero(stale)
         labels[rows] = d[rows].argmin(axis=1)
         row_min[rows] = d.ravel()[self._row_start[rows] + labels[rows]]
-        return d, labels, row_sums, row_min, total
+        self._add_row_sums(ws, dict(zip(js, new)))
+        return total
+
+    def _add_row_sums(self, ws: _Workspace, moved: dict[int, np.ndarray]) -> None:
+        """Adds again the partial row sums that depend on the ``moved``
+        columns (all of them after a whole pass), ending in the row sums;
+        ``moved`` maps a column to a contiguous copy of it, which is
+        cheaper to read than the strided column."""
+        if ws.operands is None:
+            # By plan index: the columns, the k-1 partial sums, the row
+            # sums and, as index -1, 0.0.
+            partial = np.empty((len(self._sum_plan) - 1, self.data.n))
+            ws.operands = [*ws.dists.T, *partial, ws.row_sums, 0.0]
+        src = ws.operands.copy()
+        for j, col in moved.items():
+            src[j] = col
+        # Plan indices of the operands that changed since the last sums.
+        changed = set(moved) if ws.sums_valid else set(range(self.k))
+        for i, (left, right) in enumerate(self._sum_plan):
+            if left in changed or right in changed:
+                np.add(src[left], src[right], out=src[self.k + i])
+                changed.add(self.k + i)
+        ws.sums_valid = True
 
     def _at(self, x: Point) -> tuple[np.ndarray, _PointEval]:
-        """Centroids at ``x`` and everything the oracles read there; the
-        last point's entry is reused, or updated column by column when
-        few of its centroids moved."""
+        """Centroids at ``x`` and everything the oracles read there, as
+        read-only views of the calling thread's buffers (valid until its
+        next call at another point); the last point's buffers are reused,
+        or updated column by column when few of its centroids moved."""
         c = self._centroids(x)
         key = c.tobytes()
-        prev_key, prev = self._memo
-        if prev_key == key:
-            return c, prev
-        built = None
-        if self._column_updates and prev is not None and math.isfinite(prev.total):
+        ws = self._workspace()
+        if ws.key == key:
+            return c, ws.entry
+        prev_key, prev = ws.key, ws.entry
+        # Cleared before any buffer is written: a call that fails midway
+        # leaves no point for the next one to reuse.
+        ws.key = None
+        total = None
+        if self._column_updates and prev_key is not None and math.isfinite(prev.total):
             # Rows compared by their bits: -0.0 against 0.0 counts as moved.
             bits = np.frombuffer(key, np.uint64), np.frombuffer(prev_key, np.uint64)
             moved = (bits[0] != bits[1]).reshape(self.k, -1).any(axis=1)
             cols = np.flatnonzero(moved)
             if 4 * cols.size <= self.k:
-                built = self._update_columns(c, prev, cols)
-        if built is None:
-            d, labels, row_sums = self._sq_dists(c)
+                total = self._update_columns(ws, c, cols)
+        if total is None:
+            d, labels, _ = self._sq_dists(c)
             # Picking the minimum by its index rounds nothing, so this
             # equals d.min(axis=1) bit for bit, at a fraction of the cost.
-            row_min = d.ravel()[self._row_start + labels]
-            built = d, labels, row_sums, row_min, float(d.sum())
-        for arr in built[:4]:
-            arr.flags.writeable = False
+            np.take(d.ravel(), self._row_start + labels, out=ws.row_min)
+            total = float(d.sum())
         flat = c.ravel()
-        entry = _PointEval(*built, 0.5 * self.rho * float(np.dot(flat, flat)))
-        self._memo = (key, entry)
-        return c, entry
+        ws.entry = _PointEval(*ws.views, total, 0.5 * self.rho * float(np.dot(flat, flat)))
+        ws.key = key
+        return c, ws.entry
 
     def eval_g(self, x: Point) -> float:
         e = self._at(x)[1]

@@ -710,3 +710,191 @@ def test_certification_scan_makes_no_whole_pass_per_probe(matrix_count, monkeypa
     probes = len(outcome.event.mu_tried) * len(pss.directions)
     assert evals["eval_g"] == 1 + probes
     assert matrix_count["matrices"] == before
+
+
+# ---------------------------------------------------------------------------
+# The column path in place: each thread's buffers are updated, never copied.
+
+
+def test_row_sum_plan_matches_numpy_reduce():
+    """The partial row sums end in the bits of ``np.add.reduce(d, axis=1)``
+    for every k up to 300 (numpy's pairwise order: 8 accumulators, a fixed
+    tree, a sequential tail, halving above 128 terms), both when all of
+    them are built and when only the paths from a few moved columns are
+    added again.  Rows mix values of very different magnitudes, so any
+    other order of the additions rounds differently."""
+    rng = np.random.default_rng(0)
+    values = np.array([0.0, 1e-300, 1.0, 1e300, np.inf])
+    n = 24
+
+    def rows(count, width):
+        # Half the rows draw from ``values``, half are finite and spread
+        # over 16 orders of magnitude.
+        out = values[rng.integers(0, values.size, (count, width))]
+        out *= rng.uniform(1.0, 2.0, (count, width))
+        half = count // 2
+        out[:half] = rng.uniform(0.0, 1.0, (half, width)) * 10.0 ** rng.integers(
+            -8, 9, (half, width)
+        )
+        return out
+
+    for k in range(1, 301):
+        problem = MsscProblem(ClusterData(np.zeros((n, 1))), k)
+        ws = problem._workspace()
+        ws.dists[...] = rows(n, k)
+        problem._add_row_sums(ws, {})
+        assert ws.row_sums.tobytes() == np.add.reduce(ws.dists, axis=1).tobytes(), k
+        cols = sorted(rng.choice(k, size=min(k, 3), replace=False).tolist())
+        ws.dists[:, cols] = rows(n, len(cols))
+        problem._add_row_sums(ws, {j: ws.dists[:, j].copy() for j in cols})
+        expected = np.add.reduce(ws.dists, axis=1)
+        assert ws.row_sums.tobytes() == expected.tobytes(), (k, cols)
+
+
+def _all_bits(problem, x):
+    """Bytes of the memo entry and of every point oracle at ``x``."""
+    direction = np.linspace(-1.0, 1.0, problem.dim)
+    return _memo_bits(problem, x) + [
+        _bits(
+            problem.dir_deriv_h(x, direction)
+            if name == "dir_deriv_h"
+            else getattr(problem, name)(x)
+        )
+        for name in POINT_ORACLES
+    ]
+
+
+def _blob_means(data, n_blobs):
+    """Centroids at the means of the blobs of ``generate_blobs``, so each
+    cluster holds about n/k points, as at a solver's stall point."""
+    return data.points.reshape(n_blobs, -1, data.dim_space).mean(axis=1).ravel()
+
+
+def test_probe_updates_buffers_without_allocating_a_matrix(matrix_count):
+    """After one warm-up probe, a D1 probe on n=20000, k=16 allocates a few
+    n-vectors (its new columns, masks and the rows whose nearest centroid
+    moved), not a copy of the n-by-k matrix."""
+    import tracemalloc
+
+    data = generate_blobs(16, 1250, seed=0)
+    problem = MsscProblem(data, k=16)
+    y = _blob_means(data, 16)
+    steps = 0.5 * np.eye(problem.dim)
+    eval_phi(problem, y)
+    eval_phi(problem, y + steps[0])  # the warm-up builds the partial sums
+    before_matrices = matrix_count["matrices"]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        eval_phi(problem, y + steps[2])  # moves centroids 0 and 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix_count["matrices"] == before_matrices  # the column path
+    vector = data.n * 8
+    assert peak - before < 8 * vector + 8 * _BLOCK
+
+
+def test_threads_interleaving_probe_scans_match_fresh_instances(monkeypatch):
+    """Two threads take turns, probe by probe, scanning D1 around their own
+    points on one shared instance above one block: each gets the bits of
+    the same scan on a fresh instance, through column updates."""
+    data = generate_blobs(8, 150, seed=3)  # n*k = 9600: two blocks
+    k = 8
+    shared = MsscProblem(data, k)
+    directions = make_d1(shared.dim).directions
+    rng = np.random.default_rng(4)
+    starts = [shared.sample_start(rng) for _ in range(2)]
+    updates = []
+    update = MsscProblem._update_columns
+
+    def counted(self, *args):
+        updates.append(threading.get_ident())
+        return update(self, *args)
+
+    def scan(problem, y, wait):
+        out = []
+        for mu in (2.0, 0.5):
+            for probe in y + mu * directions:
+                wait()
+                out.append(_bits(eval_phi(problem, probe)) + _bits(problem.subgrad_h(probe)))
+        return out
+
+    expected = [scan(MsscProblem(data, k), y, lambda: None) for y in starts]
+    monkeypatch.setattr(MsscProblem, "_update_columns", counted)
+    barrier = threading.Barrier(2)
+    got: list = [None, None]
+
+    def worker(t):
+        try:
+            got[t] = scan(shared, starts[t], lambda: barrier.wait(timeout=60))
+        except BaseException as exc:  # reported below; never strands the other
+            barrier.abort()
+            got[t] = exc
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert got == expected
+    assert len(set(updates)) == 2  # both threads took the column path
+    assert len(updates) > len(directions)
+
+
+@pytest.mark.parametrize("then", ["new point", "same point"])
+@pytest.mark.parametrize("fault", ["_finish", "_add_row_sums"])
+def test_failed_column_update_leaves_no_point_behind(monkeypatch, fault, then):
+    """A column update that raises before (``_finish``) or after
+    (``_add_row_sums``) it has written the thread's buffers leaves no
+    point to reuse: the next call, at a new point or at the same one, and
+    the probes after it give a fresh instance's bits."""
+    data = generate_blobs(8, 150, seed=3)
+    k = 8
+    problem = MsscProblem(data, k)
+    y = problem.sample_start(np.random.default_rng(5))
+    step = 0.5 * np.eye(problem.dim)
+    a = y + step[0]  # centroid 0 moved
+    b = a + step[2]  # and centroid 1
+    c = a + step[4]  # centroid 2 instead of 1
+    problem.eval_g(y)
+    problem.eval_g(a)  # a column update builds the partial sums
+    original = getattr(MsscProblem, fault)
+    calls = {"n": 0}
+
+    def failing(*args):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            raise RuntimeError("injected fault")
+        return original(*args)
+
+    monkeypatch.setattr(
+        MsscProblem, fault, staticmethod(failing) if fault == "_finish" else failing
+    )
+    with pytest.raises(RuntimeError, match="injected fault"):
+        problem.eval_g(b)
+    for x in ([c] if then == "new point" else [b]) + [a, b, y + step[3]]:
+        assert _all_bits(problem, x) == _all_bits(MsscProblem(data, k), x)
+
+
+@pytest.mark.parametrize("clone", ["pickle", "deepcopy"])
+def test_copies_drop_the_buffers_and_match_fresh_instances(clone):
+    """Pickling and deep-copying an instance that has evaluated points
+    leave its buffers behind, and the copy gives a fresh instance's bits,
+    on the column path too."""
+    import copy
+    import pickle
+
+    data = generate_blobs(8, 150, seed=3)
+    k = 8
+    problem = MsscProblem(data, k)
+    y = problem.sample_start(np.random.default_rng(6))
+    probes = y + 0.5 * make_d1(problem.dim).directions[:4]
+    for x in (y, *probes):
+        problem.eval_g(x)
+    assert len(pickle.dumps(problem)) < data.n * k * 8  # no matrix in the state
+    twin = pickle.loads(pickle.dumps(problem)) if clone == "pickle" else copy.deepcopy(problem)
+    for x in (probes[3], *probes, y):
+        expected = _all_bits(MsscProblem(data, k), x)
+        assert _all_bits(twin, x) == expected
+        assert _all_bits(problem, x) == expected
