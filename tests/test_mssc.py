@@ -796,15 +796,18 @@ def test_probe_updates_buffers_without_allocating_a_matrix(matrix_count):
 
 
 def test_threads_interleaving_probe_scans_match_fresh_instances(monkeypatch):
-    """Two threads take turns, probe by probe, scanning D1 around their own
-    points on one shared instance above one block: each gets the bits of
+    """Three threads (more than this suite's cores) take turns, probe by
+    probe, scanning D1 around their own points on one shared instance
+    above one block, with a short switch interval: each gets the bits of
     the same scan on a fresh instance, through column updates."""
+    import sys
+
     data = generate_blobs(8, 150, seed=3)  # n*k = 9600: two blocks
     k = 8
     shared = MsscProblem(data, k)
     directions = make_d1(shared.dim).directions
     rng = np.random.default_rng(4)
-    starts = [shared.sample_start(rng) for _ in range(2)]
+    starts = [shared.sample_start(rng) for _ in range(3)]
     updates = []
     update = MsscProblem._update_columns
 
@@ -822,23 +825,29 @@ def test_threads_interleaving_probe_scans_match_fresh_instances(monkeypatch):
 
     expected = [scan(MsscProblem(data, k), y, lambda: None) for y in starts]
     monkeypatch.setattr(MsscProblem, "_update_columns", counted)
-    barrier = threading.Barrier(2)
-    got: list = [None, None]
+    barrier = threading.Barrier(len(starts))
+    got: list = [None] * len(starts)
 
     def worker(t):
         try:
             got[t] = scan(shared, starts[t], lambda: barrier.wait(timeout=60))
-        except BaseException as exc:  # reported below; never strands the other
+        except BaseException as exc:  # reported below; never strands the others
             barrier.abort()
             got[t] = exc
 
-    threads = [threading.Thread(target=worker, args=(t,)) for t in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(len(starts))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert got == expected
-    assert len(set(updates)) == 2  # both threads took the column path
+    assert len(set(updates)) == len(starts)  # every thread took the column path
     assert len(updates) > len(directions)
 
 
