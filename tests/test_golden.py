@@ -40,6 +40,17 @@ GOLDEN = {
             "trace.csv": "735d288c4cdfb50473ec9c36fc0a4b0fb8340c3191df478e4dab7d3822d5e574",
         },
     ),
+    # k = 1: the whole pass multiplies an n-by-1 product through gemv,
+    # which rounds otherwise than the gemm of a column update.
+    "solve_mssc_k1": (
+        ["solve", "--problem", "mssc", "--algo", "bdca+", "--blobs", "2x25",
+         "--k", "1", "--seed", "5", "--json", "run.json", "--trace-csv", "trace.csv"],
+        0,
+        {
+            "run.json": "f3cc2fb1331418287a3c3045bd75e184be629883480bd036522652ab5526c5f3",
+            "trace.csv": "1d3190dbb1095a4b8562cc746810ad878e9ba32dbde050ca5d8930ea6a500d71",
+        },
+    ),
     "check": (
         ["check", "--problem", "example2d", "--point=0,-1", "--json", "check.json"],
         3,

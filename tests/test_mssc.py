@@ -17,6 +17,7 @@ from dcboost import (
     run_bdca_plus,
     run_dca,
 )
+from dcboost.core import ProblemDefinitionError
 from dcboost.problems.mssc import _BLOCK
 from dcboost.solvers import DfoState, dfo_escape
 from dcboost.spanning import make_d1
@@ -437,6 +438,31 @@ def test_degenerate_inputs_terminate_with_defined_outcome(case, solver):
     termination, final_phi = outcomes[solver]
     assert res.termination is Termination(termination)
     assert res.final_phi == final_phi
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=(AssertionError, ProblemDefinitionError),
+    reason=(
+        "|a|^2 + |c|^2 - 2 a.c and the g - h objective cancel under a large "
+        "shift: BDCA+ ends at phi 1.357817 instead of 1.356392 at +1e3 and "
+        "raises 'descent guarantee violated' at +1e5"
+    ),
+)
+def test_bdca_plus_final_phi_is_invariant_under_translation():
+    """Shifting the data and the start together leaves the clustering
+    problem unchanged, so BDCA+ must end at the same phi."""
+    data = generate_blobs(4, 200, seed=0)
+    k = 8
+    x0 = MsscProblem(data, k).sample_start(np.random.default_rng((0, 0)))
+    reference = run_bdca_plus(MsscProblem(data, k), x0).final_phi
+    for shift in (0.0, 1e3, 1e5):
+        problem = MsscProblem(ClusterData(data.points + shift), k)
+        final_phi = run_bdca_plus(problem, x0 + shift).final_phi
+        if shift == 0.0:
+            assert final_phi == reference
+        else:
+            assert abs(final_phi - reference) <= 1e-9, shift
 
 
 def test_shared_instance_across_threads_matches_sequential_runs():
