@@ -185,27 +185,34 @@ class _PointEval(NamedTuple):
 
 
 class _Workspace:
-    """One thread's buffers, rewritten in place for every new point: the
-    distances, labels, row sums and minima of the point ``key`` (None
-    while they are being written), and the partial row sums."""
+    """One thread's buffers, rewritten in place for every new point.  The
+    oracles read ``entry`` at ``key`` (None while buffers are written);
+    ``base`` is the base's entry (see :class:`MsscProblem`).  ``dists`` is
+    the base's matrix but in column ``col``, where a probe wrote over the
+    base's values kept in ``saved``.  Labels, row sums and minima have a
+    row ``b`` for the base and one for a probe."""
 
     def __init__(self, n: int, k: int):
-        self.key: bytes | None = None
-        self.entry: _PointEval | None = None
+        self.key = self.base_key = self.entry = self.base = None
+        self.b, self.col, self.built = 0, None, False
         self.dists = np.empty((n, k))
-        self.labels = np.empty(n, dtype=np.intp)
-        self.row_sums = np.empty(n)
-        self.row_min = np.empty(n)
-        self.views = [
-            a.view() for a in (self.dists, self.labels, self.row_sums, self.row_min)
-        ]
-        for v in self.views:
+        self.labels = np.empty((2, n), dtype=np.intp)
+        self.row_sums, self.row_min = np.empty((2, n)), np.empty((2, n))
+        self.saved, self.pair = np.empty(n), np.empty((2, n))
+        views = [a.view() for a in (self.dists, self.labels, self.row_sums, self.row_min)]
+        for v in views:
             v.flags.writeable = False
-        # The operands of the row-sum plan (see _add_row_sums), made at the
-        # first column update; the partial sums among them belong to the
-        # point only while sums_valid, which a whole pass clears.
-        self.operands: list | None = None
-        self.sums_valid = False
+        self.views = [(views[0], *(v[i] for v in views[1:])) for i in (0, 1)]
+        # Made by _build_base; contiguous copies of the base columns on
+        # the row-sum path from column ``col`` (see _add_row_sums).
+        self.second_min = self.second_label = self.operands = None
+        self.near: dict[int, np.ndarray] = {}
+
+    def restore(self) -> None:
+        """Puts the base's values back in column ``col``."""
+        if self.col is not None:
+            self.dists[:, self.col] = self.saved
+            self.col = None
 
 
 class MsscProblem(DcProblem):
@@ -222,24 +229,19 @@ class MsscProblem(DcProblem):
     bit-identical to a fresh instance's, and threads never share a
     buffer, so a shared instance stays safe.
 
-    A new point is built from the last one, in place, when the matrix
-    spans more than one row block (n*k > ``_BLOCK``), the last total is
-    finite and at most k/4 centroids differ by their bytes, as with the
-    direct-search probes ``y +- mu*e_i``, which move one or two.  Only the
-    moved columns are recomputed, with the same formula, as rows
-    ``c_j @ a.T`` that gemm rounds as the whole pass's ``a @ c.T``; a
-    single one is multiplied next to a copy of itself, because numpy
-    sends a one-row product through gemv, which rounds differently.  The
-    labels stay exact: a row whose nearest centroid moved is scanned
-    again, any other row takes a moved column only if it is smaller, or
-    equal at a smaller index (argmin's first-index rule).  The row sums
-    follow numpy's pairwise order (:func:`_row_sum_plan`): the buffers
-    keep the k-1 partial sums of each row, built at the first column
-    update after a whole pass, and only those on the paths from the moved
-    columns are added again.  The total is ``dists.sum()`` as in a whole
-    pass, and a non-finite total sends the point to a whole pass.  That
-    sum and the strided writes of the moved columns still touch the whole
-    matrix.
+    The last point a whole pass built is the thread's base.  With k >= 2
+    and a finite base total, a probe, a point whose centroids differ from
+    the base's by their bytes in one only, j (as ``y +- mu*e_i`` do), is
+    evaluated from the base: column j by the same formula, the labels and
+    row minima by an exact selection between it and the base's nearest
+    other column (its nearest, or its second nearest where that is j,
+    with argmin's first-index rule), the row sums by adding again the
+    path from column j in numpy's pairwise order (:func:`_row_sum_plan`)
+    from the base's partial sums, and the total as ``dists.sum()`` with
+    the column written in, which touches the whole matrix.  A non-finite
+    total, and any other point, takes a whole pass, which becomes the
+    base; a point one centroid from the last probe first makes that
+    probe the base, so that a scan around a probe stays on this path.
     """
 
     def __init__(self, data: ClusterData, k: int, rho: float | None = None):
@@ -252,8 +254,9 @@ class MsscProblem(DcProblem):
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         self._a = data.points
-        # Rows [|a_i|^2, 1]; see _sq_dists.
-        self._a_sq = np.ones((data.n, 2))
+        self._a_t = np.ascontiguousarray(self._a.T)  # a probe's column is c_j @ _a_t
+        # Rows [|a_i|^2, 1], see _sq_dists; column-major, for a probe's column.
+        self._a_sq = np.ones((2, data.n)).T
         self._a_sq[:, 0] = np.einsum("ij,ij->i", self._a, self._a)
         # Flat index of each row's first distance.
         self._row_start = np.arange(data.n) * self.k
@@ -268,9 +271,6 @@ class MsscProblem(DcProblem):
             self._blocks.append((lo, hi))
             lo = hi
         self._block_rows = max(hi - lo for lo, hi in self._blocks)
-        # Below one block the numpy calls of a column update cost more
-        # than the whole pass.
-        self._column_updates = data.n * self.k > _BLOCK
         self._sum_plan = _row_sum_plan(self.k)
         self._local = threading.local()
 
@@ -306,9 +306,9 @@ class MsscProblem(DcProblem):
         their row alone, so the block size changes no bit.
         """
         ws = self._workspace()
-        ws.key = None
-        ws.sums_valid = False
-        d, labels, row_sums = ws.dists, ws.labels, ws.row_sums
+        ws.key = ws.base_key = ws.base = ws.col = None
+        ws.built = False
+        d, labels, row_sums = ws.dists, ws.labels[ws.b], ws.row_sums[ws.b]
         c_sq = self._c_sq(c)
         ct = c.T
         sq = np.empty((self._block_rows, self.k))
@@ -342,98 +342,118 @@ class MsscProblem(DcProblem):
         # Rounding can leave tiny negatives on exact hits.
         np.maximum(prod, 0.0, out=prod)
 
-    def _update_columns(
-        self, ws: _Workspace, c: np.ndarray, cols: np.ndarray
-    ) -> float | None:
-        """Moves the point in ``ws`` in place to centroids ``c``, which
-        differ from its own only in rows ``cols`` (ascending), with the
-        bits of :meth:`_sq_dists`; returns the total, or None, with the
-        buffers left for a whole pass, if the total is not finite."""
-        m, js = cols.size, cols.tolist()
-        d, labels, row_min = ws.dists, ws.labels, ws.row_min
-        # The moved columns are built as contiguous rows, c_j @ a.T: gemm
-        # forms each product a.c as the same chain over the coordinates
-        # as the whole pass's a @ c.T.  numpy multiplies a single row
-        # through gemv, whose roundings differ; a duplicate keeps it in
-        # gemm.
-        new = np.matmul(c[cols if m > 1 else cols.repeat(2)], self._a.T)[:m]
+    def _update_columns(self, ws: _Workspace, c: np.ndarray, j: int) -> float | None:
+        """Evaluates the probe ``c``, which moves centroid ``j`` of the base,
+        with the bits of :meth:`_sq_dists`; returns its total if finite."""
+        if not ws.built:
+            self._build_base(ws)
+        # gemm forms each a.c as the whole pass's a @ c.T does; a duplicate
+        # row keeps numpy from sending a single row through gemv.
+        col, sq = np.matmul(c[[j, j]], self._a_t, out=ws.pair)
         # The plain sum |a|^2 + |c|^2, rounded once as in the whole pass.
-        self._finish(new, self._a_sq[:, 0] + self._c_sq(c)[1, cols, None])
-        # A row whose nearest centroid moves is scanned again below.
-        stale = labels == js[0]
-        for j in js[1:]:
-            stale |= labels == j
-        for col, j in zip(new, js):
-            d[:, j] = col
-            # A row keeps its nearest centroid unless a moved column is
-            # smaller, or equal at a smaller index: argmin's first-index
-            # rule, column by column in increasing order.
-            win = col < row_min
-            tie = col == row_min
-            if tie.any():
-                win |= tie & (labels > j)
-            np.copyto(labels, j, where=win)
-            np.copyto(row_min, col, where=win)
-        total = float(d.sum())
-        if not math.isfinite(total):
-            return None
-        rows = np.flatnonzero(stale)
-        labels[rows] = d[rows].argmin(axis=1)
-        row_min[rows] = d.ravel()[self._row_start[rows] + labels[rows]]
-        self._add_row_sums(ws, dict(zip(js, new)))
-        return total
+        self._finish(col, np.add(self._a_sq[:, 0], self._c_sq(c)[1, j], out=sq))
+        if ws.col != j:
+            ws.restore()
+            ws.saved[:] = ws.dists[:, j]  # recorded before it is overwritten
+            ws.near = {}
+            ws.col = j
+        ws.dists[:, j] = col
+        labels, row_min = ws.labels[1 - ws.b], ws.row_min[1 - ws.b]
+        np.copyto(labels, ws.labels[ws.b])
+        np.copyto(row_min, ws.row_min[ws.b])
+        second = labels == j  # the base's nearest is column j
+        np.copyto(labels, ws.second_label, where=second)
+        np.copyto(row_min, ws.second_min, where=second)
+        win = col < row_min
+        tie = col == row_min
+        if tie.any():
+            win |= tie & (labels > j)  # argmin's first-index rule
+        np.copyto(labels, j, where=win)
+        np.copyto(row_min, col, where=win)
+        self._add_row_sums(ws, j, col)
+        total = float(ws.dists.sum())
+        return total if math.isfinite(total) else None
 
-    def _add_row_sums(self, ws: _Workspace, moved: dict[int, np.ndarray]) -> None:
-        """Adds again the partial row sums that depend on the ``moved``
-        columns (all of them after a whole pass), ending in the row sums;
-        ``moved`` maps a column to a contiguous copy of it, which is
-        cheaper to read than the strided column."""
+    def _build_base(self, ws: _Workspace) -> None:
+        """Builds, by row blocks, the base's second-nearest distances with
+        their first indices, and its partial row sums."""
+        n, k = self.data.n, self.k
         if ws.operands is None:
-            # By plan index: the columns, the k-1 partial sums, the row
-            # sums and, as index -1, 0.0.
-            partial = np.empty((len(self._sum_plan) - 1, self.data.n))
-            ws.operands = [*ws.dists.T, *partial, ws.row_sums, 0.0]
-        src = ws.operands.copy()
-        for j, col in moved.items():
-            src[j] = col
-        # Plan indices of the operands that changed since the last sums.
-        changed = set(moved) if ws.sums_valid else set(range(self.k))
+            ws.second_min, ws.second_label = np.empty(n), np.empty(n, dtype=np.intp)
+            # By plan index: the columns, the k-1 partial sums, and 0.0 last.
+            ws.operands = [*ws.dists.T, *np.empty((k - 1, n)), 0.0]
+        masked = np.empty((self._block_rows, k))
+        for lo, hi in self._blocks:
+            blk, m, start = ws.dists[lo:hi], masked[: hi - lo], self._row_start[: hi - lo]
+            np.copyto(m, blk)
+            np.put(m, start + ws.labels[ws.b, lo:hi], np.inf)  # mask the nearest
+            m.argmin(axis=1, out=ws.second_label[lo:hi])
+            np.take(m.ravel(), start + ws.second_label[lo:hi], out=ws.second_min[lo:hi])
+            ops = [*blk.T, *(p[lo:hi] for p in ws.operands[k:-1])]
+            for i, (left, right) in enumerate(self._sum_plan[:-1]):
+                np.add(ops[left], ops[right], out=ops[k + i])
+        ws.built = True
+
+    def _add_row_sums(self, ws: _Workspace, j: int, col: np.ndarray) -> None:
+        """Adds again the partial row sums on the plan's path from column
+        ``j``, which holds ``col``, into the probe's row sums; every other
+        operand is the base's."""
+        ops, out, near = ws.operands, ws.row_sums[1 - ws.b], ws.near
+        node, value = j, col
         for i, (left, right) in enumerate(self._sum_plan):
-            if left in changed or right in changed:
-                np.add(src[left], src[right], out=src[self.k + i])
-                changed.add(self.k + i)
-        ws.sums_valid = True
+            if node in (left, right):
+                other = right if node == left else left
+                if 0 <= other < self.k and other not in near:
+                    near[other] = ws.dists[:, other].copy()  # read once per j
+                other = near.get(other, ops[other])
+                pair = (value, other) if node == left else (other, value)
+                node, value = self.k + i, np.add(*pair, out=out)
+
+    def _moved(self, key: bytes, other: bytes) -> int | None:
+        """The only centroid whose bytes differ, if one does."""
+        bits = np.frombuffer(key, np.uint64) != np.frombuffer(other, np.uint64)
+        cols = np.flatnonzero(bits.reshape(self.k, -1).any(axis=1))
+        return int(cols[0]) if cols.size == 1 else None
 
     def _at(self, x: Point) -> tuple[np.ndarray, _PointEval]:
         """Centroids at ``x`` and everything the oracles read there, as
         read-only views of the calling thread's buffers (valid until its
         next call at another point); the last point's buffers are reused,
-        or updated column by column when few of its centroids moved."""
+        and a probe is evaluated from the base."""
         c = self._centroids(x)
         key = c.tobytes()
         ws = self._workspace()
         if ws.key == key:
             return c, ws.entry
-        prev_key, prev = ws.key, ws.entry
+        last, probe = ws.key, ws.entry
         # Cleared before any buffer is written: a call that fails midway
         # leaves no point for the next one to reuse.
-        ws.key = None
-        total = None
-        if self._column_updates and prev_key is not None and math.isfinite(prev.total):
-            # Rows compared by their bits: -0.0 against 0.0 counts as moved.
-            bits = np.frombuffer(key, np.uint64), np.frombuffer(prev_key, np.uint64)
-            moved = (bits[0] != bits[1]).reshape(self.k, -1).any(axis=1)
-            cols = np.flatnonzero(moved)
-            if 4 * cols.size <= self.k:
-                total = self._update_columns(ws, c, cols)
-        if total is None:
+        ws.key = total = None
+        if ws.base is not None and self.k > 1:
+            if key == ws.base_key:
+                ws.restore()
+                ws.entry, ws.key = ws.base, key
+                return c, ws.entry
+            j = self._moved(key, ws.base_key)
+            if j is None and last not in (None, ws.base_key):
+                j = self._moved(key, last)
+                if j is not None:  # the last probe becomes the base
+                    ws.built = False
+                    ws.base_key, ws.base, ws.b, ws.col = last, probe, 1 - ws.b, None
+            if j is not None:
+                total = self._update_columns(ws, c, j)
+        whole = total is None
+        if whole:
             d, labels, _ = self._sq_dists(c)
             # Picking the minimum by its index rounds nothing, so this
             # equals d.min(axis=1) bit for bit, at a fraction of the cost.
-            np.take(d.ravel(), self._row_start + labels, out=ws.row_min)
+            np.take(d.ravel(), self._row_start + labels, out=ws.row_min[ws.b])
             total = float(d.sum())
         flat = c.ravel()
-        ws.entry = _PointEval(*ws.views, total, 0.5 * self.rho * float(np.dot(flat, flat)))
+        reg = 0.5 * self.rho * float(np.dot(flat, flat))
+        ws.entry = _PointEval(*ws.views[ws.b ^ (not whole)], total, reg)
+        if whole and math.isfinite(total):
+            ws.base_key, ws.base = key, ws.entry
         ws.key = key
         return c, ws.entry
 

@@ -340,3 +340,24 @@ def test_param_flag_reaches_solver_params(field):
     args = build_parser().parse_args(["table1", "--starts", "1", flag, str(value)])
     got = getattr(_params_from_args(args), field.name)
     assert got == value and type(got) is type(default)
+
+
+# ------------------------------------------------------------ python -m
+
+
+def test_module_runs_from_a_source_checkout(tmp_path):
+    """``python -m dcboost`` works with only ``src`` on the path, as the
+    README's commands do before any install."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcboost", "--help"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "solve" in proc.stdout

@@ -605,8 +605,8 @@ def test_point_oracles_allocate_one_matrix_per_point():
 
 
 # ---------------------------------------------------------------------------
-# Column updates: a point that moves few centroids of the last point reuses
-# its distances, with the bits of a whole pass.
+# Probes: a point that moves one centroid of the last whole pass's point is
+# evaluated from that point's distances, with the bits of a whole pass.
 
 
 def _memo_bits(problem, x):
@@ -626,8 +626,8 @@ _scan = st.tuples(
 
 @pytest.mark.parametrize(
     "k, n",
-    [(8, _BLOCK // 8 + 2), (16, 3 * (_BLOCK // 16) + 1)],
-    ids=["k8-two-blocks", "k16-lone-last-row"],
+    [(8, _BLOCK // 8 + 2), (16, 3 * (_BLOCK // 16) + 1), (8, 200), (1, 300), (2, 500)],
+    ids=["k8-two-blocks", "k16-lone-last-row", "k8-one-block", "k1", "k2"],
 )
 @settings(max_examples=12, deadline=None)
 @given(
@@ -640,9 +640,10 @@ _scan = st.tuples(
 @example(seed=2, grid=False, steps=[("move", [1], "huge"), ("move", [2], "jitter")])
 def test_column_updates_match_fresh_instance(k, n, seed, grid, steps):
     """Points that move 1..k centroids of the point before, including the
-    D1 probes y +- mu*e_i in the order a direct-search scan makes them, on
-    data above one block: the memo and every oracle have the bits of a
-    fresh instance and, where finite, of the whole-matrix formulas.
+    D1 probes y +- mu*e_i in the order a direct-search scan makes them and
+    the return to y after the scan, on data in one block and above, and
+    at k = 1 and 2: the memo and every oracle have the bits of a fresh
+    instance and, where finite, of the whole-matrix formulas.
 
     ``grid`` puts data and centroids on integers, so that equidistant
     centroids tie exactly; "copy" moves centroids onto others (tied
@@ -692,6 +693,7 @@ def test_column_updates_match_fresh_instance(k, n, seed, grid, steps):
             for r in range(radii):
                 for probe in x + (mu * 0.5**r) * pss.directions:
                     check(probe)
+            check(x)
             continue
         _, rows, kind = step
         y = y.copy()
@@ -710,14 +712,20 @@ def test_column_updates_match_fresh_instance(k, n, seed, grid, steps):
 
 
 def test_certification_scan_makes_no_whole_pass_per_probe(matrix_count, monkeypatch):
-    """A D1 scan that certifies its point on data above one block updates
-    one or two columns per probe instead of building a new matrix."""
-    data = generate_blobs(8, 150, spread=0.5, seed=3)
+    """A D1 scan that certifies its point, on data above one block and at
+    the size of the ``cluster`` workload (4x200, k=8, one block), evaluates
+    each probe from the centre's distances instead of building a new
+    matrix."""
     params = SolverParams()
-    problem = MsscProblem(data, k=8)
-    assert data.n * problem.k > _BLOCK
-    x0 = problem.sample_start(np.random.default_rng(3))
-    y = run_bdca_plus(problem, x0).final_point
+    cases = []
+    for data, above_block in (
+        (generate_blobs(8, 150, spread=0.5, seed=3), True),
+        (generate_blobs(4, 200, seed=0), False),
+    ):
+        problem = MsscProblem(data, k=8)
+        assert (data.n * problem.k > _BLOCK) == above_block
+        x0 = problem.sample_start(np.random.default_rng(3))
+        cases.append((data, run_bdca_plus(problem, x0).final_point))
     evals = {"eval_g": 0}
     eval_g = MsscProblem.eval_g
 
@@ -726,16 +734,40 @@ def test_certification_scan_makes_no_whole_pass_per_probe(matrix_count, monkeypa
         return eval_g(self, x)
 
     monkeypatch.setattr(MsscProblem, "eval_g", counted_eval_g)
+    for data, y in cases:
+        problem = MsscProblem(data, k=8)
+        problem.eval_g(y)
+        before = matrix_count["matrices"]
+        evals["eval_g"] = 0
+        pss = make_d1(problem.dim)
+        outcome = dfo_escape(problem, y, pss, DfoState(mu=params.mu_bar), params)
+        assert not outcome.escaped
+        probes = len(outcome.event.mu_tried) * len(pss.directions)
+        assert evals["eval_g"] == 1 + probes
+        assert matrix_count["matrices"] == before, data.n
+
+
+@pytest.mark.parametrize("coord", [2, 15], ids=["centroid1", "last-centroid"])
+def test_scan_around_a_probe_point_makes_at_most_one_whole_pass(matrix_count, coord):
+    """A certifying D1 scan centred on a probe point y = b + mu*e_j of the
+    last whole pass b: its first probe is one centroid from y but two from
+    b, which makes y the base, so the scan does not fall back to a whole
+    pass at every switch of centroid.  (Were j in centroid 0, the scan's
+    first probes would stay one centroid from b and the rule would not
+    apply.)"""
+    data = generate_blobs(4, 200, seed=0)
+    params = SolverParams()
     problem = MsscProblem(data, k=8)
-    problem.eval_g(y)
+    y = run_bdca_plus(problem, problem.sample_start(np.random.default_rng(3))).final_point
+    problem = MsscProblem(data, k=8)
+    b = y.copy()
+    b[coord] -= 0.5
+    problem.eval_g(b)  # the whole pass; y moves one centroid of b
     before = matrix_count["matrices"]
-    evals["eval_g"] = 0
     pss = make_d1(problem.dim)
     outcome = dfo_escape(problem, y, pss, DfoState(mu=params.mu_bar), params)
     assert not outcome.escaped
-    probes = len(outcome.event.mu_tried) * len(pss.directions)
-    assert evals["eval_g"] == 1 + probes
-    assert matrix_count["matrices"] == before
+    assert matrix_count["matrices"] - before <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -745,10 +777,10 @@ def test_certification_scan_makes_no_whole_pass_per_probe(matrix_count, monkeypa
 def test_row_sum_plan_matches_numpy_reduce():
     """The partial row sums end in the bits of ``np.add.reduce(d, axis=1)``
     for every k up to 300 (numpy's pairwise order: 8 accumulators, a fixed
-    tree, a sequential tail, halving above 128 terms), both when all of
-    them are built and when only the paths from a few moved columns are
-    added again.  Rows mix values of very different magnitudes, so any
-    other order of the additions rounds differently."""
+    tree, a sequential tail, halving above 128 terms), both when the path
+    from a column adds the base's own value again and when that column is
+    replaced.  Rows mix values of very different magnitudes, so any other
+    order of the additions rounds differently."""
     rng = np.random.default_rng(0)
     values = np.array([0.0, 1e-300, 1.0, 1e300, np.inf])
     n = 24
@@ -768,13 +800,19 @@ def test_row_sum_plan_matches_numpy_reduce():
         problem = MsscProblem(ClusterData(np.zeros((n, 1))), k)
         ws = problem._workspace()
         ws.dists[...] = rows(n, k)
-        problem._add_row_sums(ws, {})
-        assert ws.row_sums.tobytes() == np.add.reduce(ws.dists, axis=1).tobytes(), k
-        cols = sorted(rng.choice(k, size=min(k, 3), replace=False).tolist())
-        ws.dists[:, cols] = rows(n, len(cols))
-        problem._add_row_sums(ws, {j: ws.dists[:, j].copy() for j in cols})
-        expected = np.add.reduce(ws.dists, axis=1)
-        assert ws.row_sums.tobytes() == expected.tobytes(), (k, cols)
+        ws.labels[ws.b] = ws.dists.argmin(axis=1)
+        problem._build_base(ws)
+        probe_sums = ws.row_sums[1 - ws.b]
+        for j in sorted(rng.choice(k, size=min(k, 3), replace=False).tolist()):
+            problem._add_row_sums(ws, j, ws.dists[:, j].copy())
+            expected = np.add.reduce(ws.dists, axis=1)
+            assert probe_sums.tobytes() == expected.tobytes(), (k, j)
+            col = rows(n, 1)[:, 0]
+            problem._add_row_sums(ws, j, col)
+            changed = ws.dists.copy()
+            changed[:, j] = col
+            expected = np.add.reduce(changed, axis=1)
+            assert probe_sums.tobytes() == expected.tobytes(), (k, j)
 
 
 def _all_bits(problem, x):
@@ -880,20 +918,21 @@ def test_threads_interleaving_probe_scans_match_fresh_instances(monkeypatch):
 @pytest.mark.parametrize("then", ["new point", "same point"])
 @pytest.mark.parametrize("fault", ["_finish", "_add_row_sums"])
 def test_failed_column_update_leaves_no_point_behind(monkeypatch, fault, then):
-    """A column update that raises before (``_finish``) or after
-    (``_add_row_sums``) it has written the thread's buffers leaves no
-    point to reuse: the next call, at a new point or at the same one, and
-    the probes after it give a fresh instance's bits."""
+    """A probe that raises before (``_finish``) or after (``_add_row_sums``)
+    it has written its column into the thread's matrix leaves no point to
+    reuse and the base whole: the next call, at a new point or at the
+    same one, the probes after it and the base itself give a fresh
+    instance's bits."""
     data = generate_blobs(8, 150, seed=3)
     k = 8
     problem = MsscProblem(data, k)
     y = problem.sample_start(np.random.default_rng(5))
     step = 0.5 * np.eye(problem.dim)
     a = y + step[0]  # centroid 0 moved
-    b = a + step[2]  # and centroid 1
-    c = a + step[4]  # centroid 2 instead of 1
-    problem.eval_g(y)
-    problem.eval_g(a)  # a column update builds the partial sums
+    b = y + step[2]  # centroid 1 instead
+    c = y + step[4]  # centroid 2 instead
+    problem.eval_g(y)  # the whole pass: the base
+    problem.eval_g(a)  # the first probe builds the base's row state
     original = getattr(MsscProblem, fault)
     calls = {"n": 0}
 
@@ -908,7 +947,7 @@ def test_failed_column_update_leaves_no_point_behind(monkeypatch, fault, then):
     )
     with pytest.raises(RuntimeError, match="injected fault"):
         problem.eval_g(b)
-    for x in ([c] if then == "new point" else [b]) + [a, b, y + step[3]]:
+    for x in ([c] if then == "new point" else [b]) + [a, b, y, y + step[3]]:
         assert _all_bits(problem, x) == _all_bits(MsscProblem(data, k), x)
 
 
