@@ -409,11 +409,12 @@ class MsscProblem(DcProblem):
                 pair = (value, other) if node == left else (other, value)
                 node, value = self.k + i, np.add(*pair, out=out)
 
-    def _moved(self, key: bytes, other: bytes) -> int | None:
-        """The only centroid whose bytes differ, if one does."""
-        bits = np.frombuffer(key, np.uint64) != np.frombuffer(other, np.uint64)
-        cols = np.flatnonzero(bits.reshape(self.k, -1).any(axis=1))
-        return int(cols[0]) if cols.size == 1 else None
+    def _moved(self, key: bytes, ref: bytes) -> int | None:
+        """The only centroid whose bytes differ in ``key`` and ``ref``, if one does."""
+        r = len(key) // self.k
+        moved = (i // r for i in range(0, len(key), r) if key[i : i + r] != ref[i : i + r])
+        j = next(moved, None)
+        return j if next(moved, None) is None else None
 
     def _at(self, x: Point) -> tuple[np.ndarray, _PointEval]:
         """Centroids at ``x`` and everything the oracles read there, as
@@ -449,8 +450,7 @@ class MsscProblem(DcProblem):
             # equals d.min(axis=1) bit for bit, at a fraction of the cost.
             np.take(d.ravel(), self._row_start + labels, out=ws.row_min[ws.b])
             total = float(d.sum())
-        flat = c.ravel()
-        reg = 0.5 * self.rho * float(np.dot(flat, flat))
+        reg = 0.5 * self.rho * float(np.dot(c.ravel(), c.ravel()))
         ws.entry = _PointEval(*ws.views[ws.b ^ (not whole)], total, reg)
         if whole and math.isfinite(total):
             ws.base_key, ws.base = key, ws.entry
