@@ -451,7 +451,7 @@ class MsscProblem(DcProblem):
             np.take(d.ravel(), self._row_start + labels, out=ws.row_min[ws.b])
             total = float(d.sum())
         reg = 0.5 * self.rho * float(np.dot(c.ravel(), c.ravel()))
-        ws.entry = _PointEval(*ws.views[ws.b ^ (not whole)], total, reg)
+        ws.entry = _PointEval(*ws.views[ws.b if whole else 1 - ws.b], total, reg)
         if whole and math.isfinite(total):
             ws.base_key, ws.base = key, ws.entry
         ws.key = key
