@@ -51,6 +51,17 @@ GOLDEN = {
             "trace.csv": "1d3190dbb1095a4b8562cc746810ad878e9ba32dbde050ca5d8930ea6a500d71",
         },
     ),
+    # The benchmark's solve_large shape: n = 20000, k = 16.
+    "solve_mssc_large": (
+        ["solve", "--problem", "mssc", "--algo", "bdca+", "--blobs", "16x1250",
+         "--k", "16", "--seed", "0", "--blob-seed", "0",
+         "--json", "run.json", "--trace-csv", "trace.csv"],
+        0,
+        {
+            "run.json": "d3b3ec1e4369ab8e103d6d15ecbcf42ba7fd3bc3200d937fa421fd66b21324f7",
+            "trace.csv": "3f647f362727e33d1af4334bb3780dfc0eab7fda2314d3a27324690ff49ac7ce",
+        },
+    ),
     "check": (
         ["check", "--problem", "example2d", "--point=0,-1", "--json", "check.json"],
         3,
