@@ -34,6 +34,7 @@ __all__ = [
     "RunResult",
     "DcProblem",
     "eval_phi",
+    "phi_and_scale",
     "CheckResult",
     "ValidationReport",
     "validate_problem",
@@ -297,7 +298,10 @@ class DcProblem(ABC):
     keep private per-thread buffers (say, of work shared by the oracles at
     one point, updated in place from one point to the next) as long as
     every result stays bit-identical to a fresh instance's and a shared
-    instance stays safe under concurrent calls.
+    instance stays safe under concurrent calls.  The clustering problem,
+    for one, keeps its distances by centroid, one contiguous row per
+    centroid, and fills the matrix by data point only because the bits
+    of its total follow that matrix's summation order.
 
     ``solve_subproblem(u)`` must return the unique minimizer ``y`` of
     ``g(x) - <u, x>``, i.e. the point with ``grad_g(y) = u``.  Solvers
@@ -336,12 +340,20 @@ def eval_phi(problem: DcProblem, x: Point) -> float:
     oracles; problems may expose a direct formula for cross-checking, but
     solvers never use it.
     """
-    val = problem.eval_g(x) - problem.eval_h(x)
-    if not math.isfinite(val):
+    return phi_and_scale(problem, x)[0]
+
+
+def phi_and_scale(problem: DcProblem, x: Point) -> tuple[float, float]:
+    """Objective value as :func:`eval_phi` forms it, together with the
+    cancellation scale ``|g(x)| + |h(x)|``."""
+    g = problem.eval_g(x)
+    h = problem.eval_h(x)
+    phi = g - h
+    if not math.isfinite(phi):
         raise ProblemDefinitionError(
-            f"objective is not finite at x={np.asarray(x)!r} (got {val})"
+            f"objective is not finite at x={np.asarray(x)!r} (got {phi})"
         )
-    return val
+    return phi, abs(g) + abs(h)
 
 
 @dataclass

@@ -34,11 +34,6 @@ from dcboost.core import DcProblem, Point
 
 __all__ = ["ClusterData", "MsscProblem", "generate_blobs", "load_points_csv"]
 
-# Distances per block of the distance pass: the block's temporaries (64 KB)
-# stay in cache and under glibc's 128 KB mmap threshold, so no point maps
-# and trims pages of its own.
-_BLOCK = 8192
-
 
 @dataclass(frozen=True)
 class ClusterData:
@@ -187,31 +182,34 @@ class _PointEval(NamedTuple):
 class _Workspace:
     """One thread's buffers, rewritten in place for every new point.  The
     oracles read ``entry`` at ``key`` (None while buffers are written);
-    ``base`` is the base's entry (see :class:`MsscProblem`).  ``dists`` is
-    the base's matrix but in column ``col``, where a probe wrote over the
-    base's values kept in ``saved``.  Labels, row sums and minima have a
-    row ``b`` for the base and one for a probe."""
+    ``base`` is the base's entry (see :class:`MsscProblem`).  ``cols``
+    holds the base's distances by centroid; ``dists`` holds them by data
+    point, but in column ``col``, where a probe wrote its own.  Labels,
+    row sums and minima have a row ``b`` for the base and one for a
+    probe."""
 
     def __init__(self, n: int, k: int):
         self.key = self.base_key = self.entry = self.base = None
         self.b, self.col, self.built = 0, None, False
-        self.dists = np.empty((n, k))
+        self.cols, self.dists = np.empty((k, n)), np.empty((n, k))
         self.labels = np.empty((2, n), dtype=np.intp)
         self.row_sums, self.row_min = np.empty((2, n)), np.empty((2, n))
-        self.saved, self.pair = np.empty(n), np.empty((2, n))
+        self.pair, self.row = np.empty((2, n)), np.empty(n)  # a probe's; eval_h's
+        # By plan index (see _row_sum_plan): the base's columns, its k-1
+        # partial row sums, and 0.0 last.
+        self.operands = [*self.cols, *np.empty((k - 1, n)), 0.0]
+        # Made by _build_base: the base's second-nearest distances, with
+        # their first indices.
+        self.second_min, self.second_label = np.empty(n), np.empty(n, dtype=np.intp)
         views = [a.view() for a in (self.dists, self.labels, self.row_sums, self.row_min)]
         for v in views:
             v.flags.writeable = False
         self.views = [(views[0], *(v[i] for v in views[1:])) for i in (0, 1)]
-        # Made by _build_base; contiguous copies of the base columns on
-        # the row-sum path from column ``col`` (see _add_row_sums).
-        self.second_min = self.second_label = self.operands = None
-        self.near: dict[int, np.ndarray] = {}
 
     def restore(self) -> None:
         """Puts the base's values back in column ``col``."""
         if self.col is not None:
-            self.dists[:, self.col] = self.saved
+            self.dists[:, self.col] = self.cols[self.col]
             self.col = None
 
 
@@ -222,12 +220,19 @@ class MsscProblem(DcProblem):
     ``k * data.dim_space``.  ``rho`` defaults to ``1 / (n * k)``.
 
     The oracles at one point share one pass over the data.  Each thread
-    that calls the instance gets its own buffers, which hold the n-by-k
-    distance matrix, the nearest-centroid labels, the row sums and minima
-    of the last point it saw, keyed by that point's float64 bytes, and
-    which every new point rewrites in place.  Every result is
-    bit-identical to a fresh instance's, and threads never share a
-    buffer, so a shared instance stays safe.
+    that calls the instance gets its own buffers, which hold the squared
+    distances, the nearest-centroid labels, the row sums and minima of
+    the last point it saw, keyed by that point's float64 bytes, and which
+    every new point rewrites in place.  Every result is bit-identical to a
+    fresh instance's, and threads never share a buffer, so a shared
+    instance stays safe.
+
+    A whole pass computes the distances by centroid, as k contiguous rows
+    of n: the labels and row minima by a strict ``<`` scan over the rows
+    (argmin's first-index rule), the row sums by numpy's pairwise order
+    for ``np.add.reduce(axis=1)`` (:func:`_row_sum_plan`), keeping the
+    partial sums.  The n-by-k matrix by data point is filled from the
+    rows because the total is ``dists.sum()``, which adds it in C order.
 
     The last point a whole pass built is the thread's base.  With k >= 2
     and a finite base total, a probe, a point whose centroids differ from
@@ -236,12 +241,13 @@ class MsscProblem(DcProblem):
     row minima by an exact selection between it and the base's nearest
     other column (its nearest, or its second nearest where that is j,
     with argmin's first-index rule), the row sums by adding again the
-    path from column j in numpy's pairwise order (:func:`_row_sum_plan`)
-    from the base's partial sums, and the total as ``dists.sum()`` with
-    the column written in, which touches the whole matrix.  A non-finite
-    total, and any other point, takes a whole pass, which becomes the
-    base; a point one centroid from the last probe first makes that
-    probe the base, so that a scan around a probe stays on this path.
+    path from column j from the base's partial sums, and the total as
+    ``dists.sum()`` with the column written in, which touches the whole
+    matrix.  A non-finite total, and any other point, takes a whole pass,
+    which becomes the base; a point one centroid from the last probe
+    first makes that probe the base (its column joins the base's, whose
+    partial sums are added again), so that a scan around a probe stays on
+    this path.
     """
 
     def __init__(self, data: ClusterData, k: int, rho: float | None = None):
@@ -254,23 +260,8 @@ class MsscProblem(DcProblem):
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         self._a = data.points
-        self._a_t = np.ascontiguousarray(self._a.T)  # a probe's column is c_j @ _a_t
-        # Rows [|a_i|^2, 1], see _sq_dists; column-major, for a probe's column.
-        self._a_sq = np.ones((2, data.n)).T
-        self._a_sq[:, 0] = np.einsum("ij,ij->i", self._a, self._a)
-        # Flat index of each row's first distance.
-        self._row_start = np.arange(data.n) * self.k
-        # Row blocks [lo, hi) of about _BLOCK distances.  numpy multiplies
-        # a single row through another BLAS routine, whose roundings
-        # differ; a lone last row joins its block.
-        rows = max(2, _BLOCK // self.k)
-        self._blocks: list[tuple[int, int]] = []
-        lo = 0
-        while lo < data.n:
-            hi = data.n if lo + rows >= data.n - 1 else lo + rows
-            self._blocks.append((lo, hi))
-            lo = hi
-        self._block_rows = max(hi - lo for lo, hi in self._blocks)
+        self._a_t = np.ascontiguousarray(self._a.T)  # column j is c_j @ _a_t
+        self._a_sq = np.einsum("ij,ij->i", self._a, self._a)
         self._sum_plan = _row_sum_plan(self.k)
         self._local = threading.local()
 
@@ -293,44 +284,41 @@ class MsscProblem(DcProblem):
     def _centroids(self, x: Point) -> np.ndarray:
         return np.asarray(x, dtype=float).reshape(self.k, self.data.dim_space)
 
-    def _sq_dists(
-        self, c: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(n, k) matrix of squared distances data-point-to-centroid, with
-        each row's nearest-centroid label and sum, built in one pass over
-        the row blocks into the calling thread's buffers.
+    def _sq_dists(self, c: np.ndarray) -> float:
+        """The whole pass: squared distances data-point-to-centroid, with
+        each data point's nearest-centroid label, minimum and sum, built
+        into the calling thread's buffers; returns their total.
 
         Every element is ``|a|^2 + |c|^2 - 2 a.c`` clamped at 0 and rounded
-        as that expression rounds: scaling by -2 is exact and ``s - 2m`` is
-        the same operation as ``-2m + s``.  Labels and row sums depend on
-        their row alone, so the block size changes no bit.
+        as that expression rounds over the matrix ``a @ c.T``: scaling by
+        -2 is exact and ``s - 2m`` is the same operation as ``-2m + s``.
         """
         ws = self._workspace()
         ws.key = ws.base_key = ws.base = ws.col = None
         ws.built = False
-        d, labels, row_sums = ws.dists, ws.labels[ws.b], ws.row_sums[ws.b]
-        c_sq = self._c_sq(c)
-        ct = c.T
-        sq = np.empty((self._block_rows, self.k))
-        for lo, hi in self._blocks:
-            blk = d[lo:hi]
-            np.matmul(self._a[lo:hi], ct, out=blk)
-            # |a|^2 + |c|^2 as the product of rows [|a|^2, 1] and columns
-            # [1, |c|^2]: both products are exact, so in any order, fused
-            # or not, the result is the plain sum rounded once, and the
-            # product costs a quarter of a broadcast add.
-            self._finish(blk, np.matmul(self._a_sq[lo:hi], c_sq, out=sq[: hi - lo]))
-            # argmin takes the first hit: the smallest-index tie-break.
-            blk.argmin(axis=1, out=labels[lo:hi])
-            np.add.reduce(blk, axis=1, out=row_sums[lo:hi])
-        return d, labels, row_sums
-
-    @staticmethod
-    def _c_sq(c: np.ndarray) -> np.ndarray:
-        """Columns [1, |c_j|^2]; see :meth:`_sq_dists`."""
-        c_sq = np.ones((2, c.shape[0]))
-        np.einsum("ij,ij->i", c, c, out=c_sq[1])
-        return c_sq
+        cols, labels, row_min = ws.cols, ws.labels[ws.b], ws.row_min[ws.b]
+        if self.k > 1 and self.data.n > 1:
+            np.matmul(c, self._a_t, out=cols)  # gemm rounds each a.c as in a @ c.T
+        else:
+            # numpy multiplies these shapes through gemv, whose two
+            # orientations round differently; a @ c.T fixes the bits.
+            np.matmul(self._a, c.T, out=cols.T)
+        # |a|^2 + |c|^2 by centroid, in the matrix by data point until it is filled.
+        c_sq = np.einsum("ij,ij->i", c, c)[:, None]
+        self._finish(cols, np.add(c_sq, self._a_sq, out=ws.dists.reshape(cols.shape)))
+        labels.fill(0)
+        np.copyto(row_min, cols[0])
+        for j, col in enumerate(cols[1:], 1):
+            # A later column wins only where it is smaller: argmin's first index.
+            np.putmask(labels, col < row_min, j)
+            np.minimum(row_min, col, out=row_min)
+        self._row_sums(ws, ws.row_sums[ws.b])
+        np.copyto(ws.dists, cols.T)
+        total = float(ws.dists.sum())
+        if math.isnan(total):  # argmin takes a row's first NaN, the scan none
+            ws.dists.argmin(axis=1, out=labels)
+            np.copyto(row_min, np.take_along_axis(ws.dists, labels[:, None], 1)[:, 0])
+        return total
 
     @staticmethod
     def _finish(prod: np.ndarray, sq: np.ndarray) -> None:
@@ -342,20 +330,24 @@ class MsscProblem(DcProblem):
         # Rounding can leave tiny negatives on exact hits.
         np.maximum(prod, 0.0, out=prod)
 
+    def _row_sums(self, ws: _Workspace, out: np.ndarray) -> None:
+        """Adds the base's columns in the plan's order: the partial sums
+        into their buffers and the row sums into ``out``."""
+        ops = ws.operands
+        for (left, right), dest in zip(self._sum_plan, [*ops[self.k : -1], out]):
+            np.add(ops[left], ops[right], out=dest)
+
     def _update_columns(self, ws: _Workspace, c: np.ndarray, j: int) -> float | None:
         """Evaluates the probe ``c``, which moves centroid ``j`` of the base,
         with the bits of :meth:`_sq_dists`; returns its total if finite."""
         if not ws.built:
             self._build_base(ws)
-        # gemm forms each a.c as the whole pass's a @ c.T does; a duplicate
-        # row keeps numpy from sending a single row through gemv.
+        # gemm forms each a.c as the whole pass does; a duplicate row keeps
+        # numpy from sending a single row through gemv.
         col, sq = np.matmul(c[[j, j]], self._a_t, out=ws.pair)
-        # The plain sum |a|^2 + |c|^2, rounded once as in the whole pass.
-        self._finish(col, np.add(self._a_sq[:, 0], self._c_sq(c)[1, j], out=sq))
+        self._finish(col, np.add(self._a_sq, np.einsum("ij,ij->i", c, c)[j], out=sq))
         if ws.col != j:
             ws.restore()
-            ws.saved[:] = ws.dists[:, j]  # recorded before it is overwritten
-            ws.near = {}
             ws.col = j
         ws.dists[:, j] = col
         labels, row_min = ws.labels[1 - ws.b], ws.row_min[1 - ws.b]
@@ -375,38 +367,26 @@ class MsscProblem(DcProblem):
         return total if math.isfinite(total) else None
 
     def _build_base(self, ws: _Workspace) -> None:
-        """Builds, by row blocks, the base's second-nearest distances with
-        their first indices, and its partial row sums."""
-        n, k = self.data.n, self.k
-        if ws.operands is None:
-            ws.second_min, ws.second_label = np.empty(n), np.empty(n, dtype=np.intp)
-            # By plan index: the columns, the k-1 partial sums, and 0.0 last.
-            ws.operands = [*ws.dists.T, *np.empty((k - 1, n)), 0.0]
-        masked = np.empty((self._block_rows, k))
-        for lo, hi in self._blocks:
-            blk, m, start = ws.dists[lo:hi], masked[: hi - lo], self._row_start[: hi - lo]
-            np.copyto(m, blk)
-            np.put(m, start + ws.labels[ws.b, lo:hi], np.inf)  # mask the nearest
-            m.argmin(axis=1, out=ws.second_label[lo:hi])
-            np.take(m.ravel(), start + ws.second_label[lo:hi], out=ws.second_min[lo:hi])
-            ops = [*blk.T, *(p[lo:hi] for p in ws.operands[k:-1])]
-            for i, (left, right) in enumerate(self._sum_plan[:-1]):
-                np.add(ops[left], ops[right], out=ops[k + i])
+        """The base's second-nearest distances, with their first indices.
+        The base is finite, so every row has one."""
+        labels, second_min, second_label = ws.labels[ws.b], ws.second_min, ws.second_label
+        second_min.fill(np.inf)
+        for j, col in enumerate(ws.cols):
+            win = col < second_min
+            win &= labels != j
+            np.putmask(second_label, win, j)
+            np.putmask(second_min, win, col)
         ws.built = True
 
     def _add_row_sums(self, ws: _Workspace, j: int, col: np.ndarray) -> None:
         """Adds again the partial row sums on the plan's path from column
         ``j``, which holds ``col``, into the probe's row sums; every other
         operand is the base's."""
-        ops, out, near = ws.operands, ws.row_sums[1 - ws.b], ws.near
+        ops, out = ws.operands, ws.row_sums[1 - ws.b]
         node, value = j, col
         for i, (left, right) in enumerate(self._sum_plan):
             if node in (left, right):
-                other = right if node == left else left
-                if 0 <= other < self.k and other not in near:
-                    near[other] = ws.dists[:, other].copy()  # read once per j
-                other = near.get(other, ops[other])
-                pair = (value, other) if node == left else (other, value)
+                pair = (value, ops[right]) if node == left else (ops[left], value)
                 node, value = self.k + i, np.add(*pair, out=out)
 
     def _moved(self, key: bytes, ref: bytes) -> int | None:
@@ -439,17 +419,16 @@ class MsscProblem(DcProblem):
             if j is None and last not in (None, ws.base_key):
                 j = self._moved(key, last)
                 if j is not None:  # the last probe becomes the base
-                    ws.built = False
-                    ws.base_key, ws.base, ws.b, ws.col = last, probe, 1 - ws.b, None
+                    ws.base = None  # until its partial sums are whole
+                    ws.cols[ws.col] = ws.dists[:, ws.col]
+                    ws.b, ws.col, ws.built = 1 - ws.b, None, False
+                    self._row_sums(ws, ws.row_sums[ws.b])  # the probe's own bits
+                    ws.base_key, ws.base = last, probe
             if j is not None:
                 total = self._update_columns(ws, c, j)
         whole = total is None
         if whole:
-            d, labels, _ = self._sq_dists(c)
-            # Picking the minimum by its index rounds nothing, so this
-            # equals d.min(axis=1) bit for bit, at a fraction of the cost.
-            np.take(d.ravel(), self._row_start + labels, out=ws.row_min[ws.b])
-            total = float(d.sum())
+            total = self._sq_dists(c)
         reg = 0.5 * self.rho * float(np.dot(c.ravel(), c.ravel()))
         ws.entry = _PointEval(*ws.views[ws.b if whole else 1 - ws.b], total, reg)
         if whole and math.isfinite(total):
@@ -464,7 +443,7 @@ class MsscProblem(DcProblem):
     def eval_h(self, x: Point) -> float:
         e = self._at(x)[1]
         # max_j of the sum with term j dropped = row sum - row min.
-        row = e.row_sums - e.row_min
+        row = np.subtract(e.row_sums, e.row_min, out=self._workspace().row)
         return float(row.sum()) / self.data.n + e.reg
 
     def grad_g(self, x: Point) -> Point:

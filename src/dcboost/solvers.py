@@ -48,6 +48,7 @@ from dcboost.core import (
     Termination,
     as_point,
     eval_phi,
+    phi_and_scale,
 )
 from dcboost.spanning import PositiveSpanningSet, make_d1
 
@@ -278,18 +279,6 @@ def next_trial_step(
 _DFO_ACCEPT_GUARD = 2.0**-44
 
 
-def _phi_and_scale(problem: DcProblem, x: Point) -> tuple[float, float]:
-    """Objective value together with the cancellation scale |g| + |h|."""
-    g = problem.eval_g(x)
-    h = problem.eval_h(x)
-    phi = g - h
-    if not math.isfinite(phi):
-        raise ProblemDefinitionError(
-            f"objective is not finite at x={np.asarray(x)!r} (got {phi})"
-        )
-    return phi, abs(g) + abs(h)
-
-
 def dfo_escape(
     problem: DcProblem,
     y_k: Point,
@@ -310,7 +299,7 @@ def dfo_escape(
     Intended to be called only when the DC displacement has stalled
     (``||d_k|| <= eps1``).
     """
-    phi_y, scale_y = _phi_and_scale(problem, y_k)
+    phi_y, scale_y = phi_and_scale(problem, y_k)
     mu = params.eta * state.mu + params.tau
     mu_tried: list[float] = []
     dirs = pss.directions
@@ -319,7 +308,7 @@ def dfo_escape(
         # Row i has the bits of y_k + mu * dirs[i].
         trials = y_k + mu * dirs
         for i, trial in enumerate(trials):
-            phi_trial, scale_trial = _phi_and_scale(problem, trial)
+            phi_trial, scale_trial = phi_and_scale(problem, trial)
             guard = _DFO_ACCEPT_GUARD * (1.0 + scale_y + scale_trial)
             if phi_trial < phi_y - guard:
                 state.mu = mu

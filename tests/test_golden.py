@@ -29,8 +29,8 @@ GOLDEN = {
         0,
         {"run.json": "cbbd2f303780afd310ce0e8cb18f12387d4cd2c18109adaee21faee6cd58c7fb"},
     ),
-    # n*k = 9600 spans two distance blocks, so the direct-search probes
-    # take the column path of MsscProblem.
+    # n = 1200, k = 8: the direct-search probes take the column path of
+    # MsscProblem.
     "solve_mssc_two_blocks": (
         ["solve", "--problem", "mssc", "--algo", "bdca+", "--blobs", "8x150",
          "--k", "8", "--seed", "3", "--json", "run.json", "--trace-csv", "trace.csv"],

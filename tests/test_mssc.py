@@ -18,7 +18,6 @@ from dcboost import (
     run_dca,
 )
 from dcboost.core import ProblemDefinitionError
-from dcboost.problems.mssc import _BLOCK
 from dcboost.solvers import DfoState, dfo_escape
 from dcboost.spanning import make_d1
 
@@ -490,12 +489,12 @@ def test_shared_instance_across_threads_matches_sequential_runs():
 
 
 # ---------------------------------------------------------------------------
-# The blocked distance pass: same bits as the whole-matrix formulas.
+# The whole pass by centroid: same bits as the whole-matrix formulas.
 
 
 def _whole_matrix_oracles(problem, x, direction):
-    """The five point oracles as plain formulas on one full n-by-k matrix,
-    the way they were computed before the distance pass ran in blocks."""
+    """The five point oracles as plain formulas on one full n-by-k matrix
+    ``a @ c.T``."""
     a = problem.data.points
     n, k, s = problem.data.n, problem.k, problem.data.dim_space
     c = np.asarray(x, dtype=float).reshape(k, s)
@@ -539,8 +538,8 @@ def _bits(value):
     return np.asarray(value, dtype=np.float64).tobytes()
 
 
-@pytest.mark.parametrize("k", [1, 3, 8, 16])
-@pytest.mark.parametrize("rows", ["1", "B-1", "B", "B+1", "2B+3"])
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("rows", ["1", "2", "3", "B-1", "B", "B+1", "2B+3"])
 @settings(max_examples=10, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -549,15 +548,19 @@ def _bits(value):
     hit=st.booleans(),
     tie=st.booleans(),
     integer=st.booleans(),
+    huge=st.sampled_from([None, 1e200, 1e306]),
 )
 def test_blocked_pass_matches_whole_matrix_formulas(
-    k, rows, seed, dim_space, scale, hit, tie, integer
+    k, rows, seed, dim_space, scale, hit, tie, integer, huge
 ):
-    """The distance matrix and every oracle have the old formulas' bits,
-    with the data split in one, two or three blocks, on exact hits, tied
-    centroids and an integer-dtype point."""
-    b = max(2, _BLOCK // k)  # rows per block
-    n = {"1": 1, "B-1": b - 1, "B": b, "B+1": b + 1, "2B+3": 2 * b + 3}[rows]
+    """The distance matrix and every oracle have the whole-matrix
+    formulas' bits, at n = 1, 2, 3 and at n around B = 8192 / k rows
+    (8192 distances, up to n = 16387 at k = 1), on exact hits, tied
+    centroids, an integer-dtype point and a centroid at 1e200 (infinite
+    distances) or 1e306 (products that overflow: NaN distances)."""
+    b = 8192 // k
+    sizes = {"B-1": b - 1, "B": b, "B+1": b + 1, "2B+3": 2 * b + 3}
+    n = int(rows) if rows.isdigit() else sizes[rows]
     rng = np.random.default_rng(seed)
     points = np.round(rng.normal(0.0, scale, (n, dim_space)), 2)
     problem = MsscProblem(ClusterData(points), k)
@@ -566,24 +569,27 @@ def test_blocked_pass_matches_whole_matrix_formulas(
         centroids[-1] = points[rng.integers(n)]
     if tie and k > 1:  # two equal centroids: tied distances
         centroids[0] = centroids[-1]
+    if huge is not None:
+        centroids[rng.integers(k)] = huge
     x = centroids.ravel()
-    if integer:
+    if integer and huge is None:
         x = np.round(x).astype(np.int64)
     direction = rng.normal(0.0, 1.0, problem.dim)
-    dists, expected = _whole_matrix_oracles(problem, x, direction)
-    # One element off by an ulp rarely survives into the oracles' sums.
-    assert problem._at(x)[1].dists.tobytes() == dists.tobytes(), (n, k)
-    for name, value in expected.items():
-        if name == "dir_deriv_h":
-            got = problem.dir_deriv_h(x, direction)
-        else:
-            got = getattr(problem, name)(x)
-        assert _bits(got) == _bits(value), (name, n, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dists, expected = _whole_matrix_oracles(problem, x, direction)
+        # One element off by an ulp rarely survives into the oracles' sums.
+        assert problem._at(x)[1].dists.tobytes() == dists.tobytes(), (n, k)
+        for name, value in expected.items():
+            if name == "dir_deriv_h":
+                got = problem.dir_deriv_h(x, direction)
+            else:
+                got = getattr(problem, name)(x)
+            assert _bits(got) == _bits(value), (name, n, k)
 
 
 def test_point_oracles_allocate_one_matrix_per_point():
-    """A new point allocates one n-by-k matrix plus O(n) vectors and one
-    block, not the whole-matrix temporaries of a broadcast formula."""
+    """A new point allocates a few n-vectors, no n-by-k temporary: the
+    whole pass writes into the thread's buffers."""
     import tracemalloc
 
     problem = MsscProblem(generate_blobs(16, 1250, seed=0), k=16)
@@ -600,8 +606,8 @@ def test_point_oracles_allocate_one_matrix_per_point():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    matrix, vector = n * problem.k * 8, n * 8
-    assert peak - before < matrix + 8 * vector + 8 * _BLOCK
+    vector = n * 8
+    assert peak - before < 8 * vector
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +632,8 @@ _scan = st.tuples(
 
 @pytest.mark.parametrize(
     "k, n",
-    [(8, _BLOCK // 8 + 2), (16, 3 * (_BLOCK // 16) + 1), (8, 200), (1, 300), (2, 500)],
-    ids=["k8-two-blocks", "k16-lone-last-row", "k8-one-block", "k1", "k2"],
+    [(8, 1026), (16, 1537), (8, 200), (1, 300), (2, 500)],
+    ids=["k8-n1026", "k16-n1537", "k8-n200", "k1", "k2"],
 )
 @settings(max_examples=12, deadline=None)
 @given(
@@ -641,9 +647,9 @@ _scan = st.tuples(
 def test_column_updates_match_fresh_instance(k, n, seed, grid, steps):
     """Points that move 1..k centroids of the point before, including the
     D1 probes y +- mu*e_i in the order a direct-search scan makes them and
-    the return to y after the scan, on data in one block and above, and
-    at k = 1 and 2: the memo and every oracle have the bits of a fresh
-    instance and, where finite, of the whole-matrix formulas.
+    the return to y after the scan, at several n, and at k = 1 and 2: the
+    memo and every oracle have the bits of a fresh instance and, where
+    finite, of the whole-matrix formulas.
 
     ``grid`` puts data and centroids on integers, so that equidistant
     centroids tie exactly; "copy" moves centroids onto others (tied
@@ -712,18 +718,13 @@ def test_column_updates_match_fresh_instance(k, n, seed, grid, steps):
 
 
 def test_certification_scan_makes_no_whole_pass_per_probe(matrix_count, monkeypatch):
-    """A D1 scan that certifies its point, on data above one block and at
-    the size of the ``cluster`` workload (4x200, k=8, one block), evaluates
-    each probe from the centre's distances instead of building a new
-    matrix."""
+    """A D1 scan that certifies its point, at n = 1200 and at the size of
+    the ``cluster`` workload (4x200, k=8), evaluates each probe from the
+    centre's distances instead of building a new matrix."""
     params = SolverParams()
     cases = []
-    for data, above_block in (
-        (generate_blobs(8, 150, spread=0.5, seed=3), True),
-        (generate_blobs(4, 200, seed=0), False),
-    ):
+    for data in (generate_blobs(8, 150, spread=0.5, seed=3), generate_blobs(4, 200, seed=0)):
         problem = MsscProblem(data, k=8)
-        assert (data.n * problem.k > _BLOCK) == above_block
         x0 = problem.sample_start(np.random.default_rng(3))
         cases.append((data, run_bdca_plus(problem, x0).final_point))
     evals = {"eval_g": 0}
@@ -777,8 +778,9 @@ def test_scan_around_a_probe_point_makes_at_most_one_whole_pass(matrix_count, co
 def test_row_sum_plan_matches_numpy_reduce():
     """The partial row sums end in the bits of ``np.add.reduce(d, axis=1)``
     for every k up to 300 (numpy's pairwise order: 8 accumulators, a fixed
-    tree, a sequential tail, halving above 128 terms), both when the path
-    from a column adds the base's own value again and when that column is
+    tree, a sequential tail, halving above 128 terms): the whole pass's
+    sums over the base's columns, and a probe's both when the path from a
+    column adds the base's own value again and when that column is
     replaced.  Rows mix values of very different magnitudes, so any other
     order of the additions rounds differently."""
     rng = np.random.default_rng(0)
@@ -799,17 +801,18 @@ def test_row_sum_plan_matches_numpy_reduce():
     for k in range(1, 301):
         problem = MsscProblem(ClusterData(np.zeros((n, 1))), k)
         ws = problem._workspace()
-        ws.dists[...] = rows(n, k)
-        ws.labels[ws.b] = ws.dists.argmin(axis=1)
-        problem._build_base(ws)
-        probe_sums = ws.row_sums[1 - ws.b]
+        ws.cols[...] = rows(n, k).T
+        base_sums, probe_sums = ws.row_sums[ws.b], ws.row_sums[1 - ws.b]
+        problem._row_sums(ws, base_sums)
+        dists = ws.cols.T.copy()  # C order: numpy adds rows pairwise
+        assert base_sums.tobytes() == np.add.reduce(dists, axis=1).tobytes(), k
         for j in sorted(rng.choice(k, size=min(k, 3), replace=False).tolist()):
-            problem._add_row_sums(ws, j, ws.dists[:, j].copy())
-            expected = np.add.reduce(ws.dists, axis=1)
+            problem._add_row_sums(ws, j, ws.cols[j].copy())
+            expected = np.add.reduce(dists, axis=1)
             assert probe_sums.tobytes() == expected.tobytes(), (k, j)
             col = rows(n, 1)[:, 0]
             problem._add_row_sums(ws, j, col)
-            changed = ws.dists.copy()
+            changed = dists.copy()
             changed[:, j] = col
             expected = np.add.reduce(changed, axis=1)
             assert probe_sums.tobytes() == expected.tobytes(), (k, j)
@@ -845,7 +848,7 @@ def test_probe_updates_buffers_without_allocating_a_matrix(matrix_count):
     y = _blob_means(data, 16)
     steps = 0.5 * np.eye(problem.dim)
     eval_phi(problem, y)
-    eval_phi(problem, y + steps[0])  # the warm-up builds the partial sums
+    eval_phi(problem, y + steps[0])  # the warm-up builds the second-nearest distances
     before_matrices = matrix_count["matrices"]
     tracemalloc.start()
     try:
@@ -856,17 +859,17 @@ def test_probe_updates_buffers_without_allocating_a_matrix(matrix_count):
         tracemalloc.stop()
     assert matrix_count["matrices"] == before_matrices  # the column path
     vector = data.n * 8
-    assert peak - before < 8 * vector + 8 * _BLOCK
+    assert peak - before < 8 * vector
 
 
 def test_threads_interleaving_probe_scans_match_fresh_instances(monkeypatch):
     """Three threads (more than this suite's cores) take turns, probe by
     probe, scanning D1 around their own points on one shared instance
-    above one block, with a short switch interval: each gets the bits of
+    at n = 1200, with a short switch interval: each gets the bits of
     the same scan on a fresh instance, through column updates."""
     import sys
 
-    data = generate_blobs(8, 150, seed=3)  # n*k = 9600: two blocks
+    data = generate_blobs(8, 150, seed=3)
     k = 8
     shared = MsscProblem(data, k)
     directions = make_d1(shared.dim).directions
