@@ -145,10 +145,7 @@ def _chunk_ranges(n: int, n_chunks: int) -> list[tuple[int, int]]:
 def _run_chunks(task, n_starts: int, workers: int) -> list[dict]:
     """Run ``task`` over index ranges and concatenate, order-preserving."""
     if workers <= 1:
-        out = []
-        for rng in _chunk_ranges(n_starts, 1):
-            out.extend(task(rng))
-        return out
+        return task((0, n_starts))
     ranges = _chunk_ranges(n_starts, workers * 4)
     results: list[dict] = []
     with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -175,11 +172,10 @@ def _table1_chunk(
     bounds: tuple[int, int],
     seed: int,
     params: SolverParams,
-    sign_at_zero: float,
     pss_kind: str,
 ) -> list[dict]:
     lo, hi = bounds
-    problem = Example2dProblem(sign_at_zero)
+    problem = Example2dProblem()
     pss = make_pss(pss_kind, problem.dim)
     refs = [(label, np.asarray(p)) for label, p in CRITICAL_POINTS]
     rows = []
@@ -205,7 +201,6 @@ def run_table1(
     seed: int,
     params: Optional[SolverParams] = None,
     workers: int = 1,
-    sign_at_zero: float = 1.0,
     pss_kind: str = "d1",
 ) -> MultiStartReport:
     """Basin-of-attraction counts on the 2-D test problem.
@@ -219,13 +214,7 @@ def run_table1(
         raise ValueError("n_starts must be >= 1")
     if params is None:
         params = SolverParams()
-    task = partial(
-        _table1_chunk,
-        seed=seed,
-        params=params,
-        sign_at_zero=sign_at_zero,
-        pss_kind=pss_kind,
-    )
+    task = partial(_table1_chunk, seed=seed, params=params, pss_kind=pss_kind)
     rows = _run_chunks(task, n_starts, workers)
     labels = [label for label, _ in CRITICAL_POINTS] + [UNCLASSIFIED]
     runs: dict[str, list[StartSummary]] = {a: [] for a in ALGORITHMS}

@@ -301,13 +301,10 @@ def cmd_cluster(args) -> int:
 def cmd_gen(args) -> int:
     seed = _resolve_seed(args)
     n_blobs, per = _parse_blob_spec(args.blobs)
-    data = generate_blobs(
-        n_blobs,
-        per,
-        spread=args.spread,
-        box=_parse_box(args.box),
-        seed=seed,
-    )
+    box = _parse_box(args.box)
+    if len(box[0]) != 2:  # the file holds 'x,y' lines
+        raise ValueError("gen needs a 2-D --box: xmin,ymin,xmax,ymax")
+    data = generate_blobs(n_blobs, per, spread=args.spread, box=box, seed=seed)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             f"# blobs={args.blobs} spread={_fmt(args.spread)} "

@@ -185,12 +185,12 @@ class _Workspace:
     ``base`` is the base's entry (see :class:`MsscProblem`).  ``cols``
     holds the base's distances by centroid; ``dists`` holds them by data
     point, but in column ``col``, where a probe wrote its own.  Labels,
-    row sums and minima have a row ``b`` for the base and one for a
-    probe."""
+    row sums and minima keep the base's in row 0 and a probe's in row 1
+    (probes run only for 2-D data with k >= 2 and n >= 2)."""
 
     def __init__(self, n: int, k: int):
         self.key = self.base_key = self.entry = self.base = None
-        self.b, self.col, self.built = 0, None, False
+        self.col, self.built = None, False
         self.cols, self.dists = np.empty((k, n)), np.empty((n, k))
         self.labels = np.empty((2, n), dtype=np.intp)
         self.row_sums, self.row_min = np.empty((2, n)), np.empty((2, n))
@@ -234,20 +234,20 @@ class MsscProblem(DcProblem):
     partial sums.  The n-by-k matrix by data point is filled from the
     rows because the total is ``dists.sum()``, which adds it in C order.
 
-    The last point a whole pass built is the thread's base.  With k >= 2
-    and a finite base total, a probe, a point whose centroids differ from
-    the base's by their bytes in one only, j (as ``y +- mu*e_i`` do), is
-    evaluated from the base: column j by the same formula, the labels and
-    row minima by an exact selection between it and the base's nearest
-    other column (its nearest, or its second nearest where that is j,
-    with argmin's first-index rule), the row sums by adding again the
-    path from column j from the base's partial sums, and the total as
+    The last point a whole pass built is the thread's base; its labels,
+    row sums and minima are row 0 of the workspace's buffers.  With a
+    finite base total, a probe, a point whose centroids differ from the
+    base's by their bytes in one only, j (as ``y +- mu*e_i`` do), is
+    evaluated from the base into row 1: column j by the same formula, the
+    labels and row minima by an exact selection between it and the base's
+    nearest other column (its nearest, or its second nearest where that
+    is j, with argmin's first-index rule), the row sums by adding again
+    the path from column j from the base's partial sums, and the total as
     ``dists.sum()`` with the column written in, which touches the whole
-    matrix.  A non-finite total, and any other point, takes a whole pass,
-    which becomes the base; a point one centroid from the last probe
-    first makes that probe the base (its column joins the base's, whose
-    partial sums are added again), so that a scan around a probe stays on
-    this path.
+    matrix.  Any other point, and a probe whose total is not finite, takes
+    a whole pass, which becomes the base.  Probes run only for 2-D data
+    with k >= 2 and n >= 2: with more coordinates a probe's two-row
+    product can round differently from the same row of the whole pass's.
     """
 
     def __init__(self, data: ClusterData, k: int, rho: float | None = None):
@@ -263,6 +263,7 @@ class MsscProblem(DcProblem):
         self._a_t = np.ascontiguousarray(self._a.T)  # column j is c_j @ _a_t
         self._a_sq = np.einsum("ij,ij->i", self._a, self._a)
         self._sum_plan = _row_sum_plan(self.k)
+        self._probes = self.k > 1 and data.n > 1 and data.dim_space <= 2
         self._local = threading.local()
 
     def __getstate__(self) -> dict:
@@ -296,7 +297,7 @@ class MsscProblem(DcProblem):
         ws = self._workspace()
         ws.key = ws.base_key = ws.base = ws.col = None
         ws.built = False
-        cols, labels, row_min = ws.cols, ws.labels[ws.b], ws.row_min[ws.b]
+        cols, labels, row_min = ws.cols, ws.labels[0], ws.row_min[0]
         if self.k > 1 and self.data.n > 1:
             np.matmul(c, self._a_t, out=cols)  # gemm rounds each a.c as in a @ c.T
         else:
@@ -312,7 +313,7 @@ class MsscProblem(DcProblem):
             # A later column wins only where it is smaller: argmin's first index.
             np.putmask(labels, col < row_min, j)
             np.minimum(row_min, col, out=row_min)
-        self._row_sums(ws, ws.row_sums[ws.b])
+        self._row_sums(ws)
         np.copyto(ws.dists, cols.T)
         total = float(ws.dists.sum())
         if math.isnan(total):  # argmin takes a row's first NaN, the scan none
@@ -330,10 +331,10 @@ class MsscProblem(DcProblem):
         # Rounding can leave tiny negatives on exact hits.
         np.maximum(prod, 0.0, out=prod)
 
-    def _row_sums(self, ws: _Workspace, out: np.ndarray) -> None:
+    def _row_sums(self, ws: _Workspace) -> None:
         """Adds the base's columns in the plan's order: the partial sums
-        into their buffers and the row sums into ``out``."""
-        ops = ws.operands
+        into their buffers and the row sums into row 0."""
+        ops, out = ws.operands, ws.row_sums[0]
         for (left, right), dest in zip(self._sum_plan, [*ops[self.k : -1], out]):
             np.add(ops[left], ops[right], out=dest)
 
@@ -350,9 +351,9 @@ class MsscProblem(DcProblem):
             ws.restore()
             ws.col = j
         ws.dists[:, j] = col
-        labels, row_min = ws.labels[1 - ws.b], ws.row_min[1 - ws.b]
-        np.copyto(labels, ws.labels[ws.b])
-        np.copyto(row_min, ws.row_min[ws.b])
+        labels, row_min = ws.labels[1], ws.row_min[1]
+        np.copyto(labels, ws.labels[0])
+        np.copyto(row_min, ws.row_min[0])
         second = labels == j  # the base's nearest is column j
         np.copyto(labels, ws.second_label, where=second)
         np.copyto(row_min, ws.second_min, where=second)
@@ -369,7 +370,7 @@ class MsscProblem(DcProblem):
     def _build_base(self, ws: _Workspace) -> None:
         """The base's second-nearest distances, with their first indices.
         The base is finite, so every row has one."""
-        labels, second_min, second_label = ws.labels[ws.b], ws.second_min, ws.second_label
+        labels, second_min, second_label = ws.labels[0], ws.second_min, ws.second_label
         second_min.fill(np.inf)
         for j, col in enumerate(ws.cols):
             win = col < second_min
@@ -382,7 +383,7 @@ class MsscProblem(DcProblem):
         """Adds again the partial row sums on the plan's path from column
         ``j``, which holds ``col``, into the probe's row sums; every other
         operand is the base's."""
-        ops, out = ws.operands, ws.row_sums[1 - ws.b]
+        ops, out = ws.operands, ws.row_sums[1]
         node, value = j, col
         for i, (left, right) in enumerate(self._sum_plan):
             if node in (left, right):
@@ -406,31 +407,22 @@ class MsscProblem(DcProblem):
         ws = self._workspace()
         if ws.key == key:
             return c, ws.entry
-        last, probe = ws.key, ws.entry
         # Cleared before any buffer is written: a call that fails midway
         # leaves no point for the next one to reuse.
         ws.key = total = None
-        if ws.base is not None and self.k > 1:
+        if ws.base is not None and self._probes:
             if key == ws.base_key:
                 ws.restore()
                 ws.entry, ws.key = ws.base, key
                 return c, ws.entry
             j = self._moved(key, ws.base_key)
-            if j is None and last not in (None, ws.base_key):
-                j = self._moved(key, last)
-                if j is not None:  # the last probe becomes the base
-                    ws.base = None  # until its partial sums are whole
-                    ws.cols[ws.col] = ws.dists[:, ws.col]
-                    ws.b, ws.col, ws.built = 1 - ws.b, None, False
-                    self._row_sums(ws, ws.row_sums[ws.b])  # the probe's own bits
-                    ws.base_key, ws.base = last, probe
             if j is not None:
                 total = self._update_columns(ws, c, j)
         whole = total is None
         if whole:
             total = self._sq_dists(c)
         reg = 0.5 * self.rho * float(np.dot(c.ravel(), c.ravel()))
-        ws.entry = _PointEval(*ws.views[ws.b if whole else 1 - ws.b], total, reg)
+        ws.entry = _PointEval(*ws.views[0 if whole else 1], total, reg)
         if whole and math.isfinite(total):
             ws.base_key, ws.base = key, ws.entry
         ws.key = key

@@ -30,7 +30,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -320,9 +320,6 @@ def dfo_escape(
             return DfoOutcome(None, None, DfoEvent(mu_tried, None, None))
 
 
-TrialRule = Callable[[SelfAdaptiveState, float, float], float]
-
-
 def _drive(
     problem: DcProblem,
     x0: Point,
@@ -330,12 +327,10 @@ def _drive(
     *,
     boost: bool,
     pss: Optional[PositiveSpanningSet] = None,
-    trial_rule: Optional[TrialRule] = None,
 ) -> RunResult:
     """Shared driver loop; see the module docstring for the three modes."""
     if params is None:
         params = SolverParams()
-    rule = trial_rule if trial_rule is not None else next_trial_step
     x = as_point(np.array(x0, dtype=float), problem.dim)
     phi_x = eval_phi(problem, x)
     state = SelfAdaptiveState()
@@ -350,7 +345,7 @@ def _drive(
         # math.sqrt(dd) has the bits of _norm(d).
         if math.sqrt(dd) > params.eps1:
             if boost:
-                trial = rule(state, params.gamma, params.lambda_bar1)
+                trial = next_trial_step(state, params.gamma, params.lambda_bar1)
                 lam, phi_next = _armijo(
                     problem, y, d, phi_y, trial, params.alpha, params.beta1, dd
                 )

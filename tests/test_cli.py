@@ -290,6 +290,16 @@ def test_gen_bad_spec(capsys):
     assert run_cli("gen", "--blobs", "4by25", "--out", "x.csv") == 2
 
 
+@pytest.mark.parametrize("box", ["-1,-1,-1,1,1,1", "-1,1"], ids=["3d", "1d"])
+def test_gen_rejects_a_box_that_is_not_2d(tmp_path, capsys, box):
+    """``gen`` writes ``x,y`` lines, so a box of other than 2 dimensions
+    is a usage error, reported before the output file is opened."""
+    out = tmp_path / "blobs.csv"
+    assert run_cli("gen", "--blobs", "2x3", f"--box={box}", "--out", str(out)) == 2
+    assert "--box" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ seed plumbing
 
 

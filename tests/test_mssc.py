@@ -644,12 +644,14 @@ _scan = st.tuples(
 @example(seed=0, grid=False, steps=[("scan", 0.5, 2), ("move", [3], "copy")])
 @example(seed=1, grid=True, steps=[("move", [0, 5], "copy"), ("scan", 0.3, 1)])
 @example(seed=2, grid=False, steps=[("move", [1], "huge"), ("move", [2], "jitter")])
+@example(seed=3, grid=False, steps=[("move", [15], "jitter"), ("scan", 0.5, 1)])
 def test_column_updates_match_fresh_instance(k, n, seed, grid, steps):
     """Points that move 1..k centroids of the point before, including the
     D1 probes y +- mu*e_i in the order a direct-search scan makes them and
     the return to y after the scan, at several n, and at k = 1 and 2: the
     memo and every oracle have the bits of a fresh instance and, where
-    finite, of the whole-matrix formulas.
+    finite, of the whole-matrix formulas.  A scan may be centred on a
+    probe of the last whole pass (a move of one centroid, then a scan).
 
     ``grid`` puts data and centroids on integers, so that equidistant
     centroids tie exactly; "copy" moves centroids onto others (tied
@@ -717,6 +719,25 @@ def test_column_updates_match_fresh_instance(k, n, seed, grid, steps):
         check(y.ravel())
 
 
+@pytest.mark.parametrize("n", [1, 2, 50])
+@pytest.mark.parametrize("dim_space", [2, 3, 8, 16, 32])
+def test_scan_bits_match_fresh_instance_in_any_dimension(dim_space, n):
+    """A D1 scan around a whole-pass point, k=4, on blob data with 2 to 32
+    coordinates: every probe's memo and oracles have a fresh instance's
+    bits.  (A probe's two-row product ``c[[j, j]] @ a.T`` can round
+    differently from the whole pass's k-row product once the data have
+    many coordinates, so only 2-D data take the probe path.)"""
+    n_blobs, per = {1: (1, 1), 2: (2, 1), 50: (5, 10)}[n]
+    box = ((-10.0,) * dim_space, (10.0,) * dim_space)
+    data = generate_blobs(n_blobs, per, box=box, seed=0)
+    k = 4
+    shared = MsscProblem(data, k)
+    y = shared.sample_start(np.random.default_rng(1))
+    shared.eval_g(y)
+    for x in (*(y + 0.5 * make_d1(shared.dim).directions), y):
+        assert _all_bits(shared, x) == _all_bits(MsscProblem(data, k), x)
+
+
 def test_certification_scan_makes_no_whole_pass_per_probe(matrix_count, monkeypatch):
     """A D1 scan that certifies its point, at n = 1200 and at the size of
     the ``cluster`` workload (4x200, k=8), evaluates each probe from the
@@ -746,29 +767,6 @@ def test_certification_scan_makes_no_whole_pass_per_probe(matrix_count, monkeypa
         probes = len(outcome.event.mu_tried) * len(pss.directions)
         assert evals["eval_g"] == 1 + probes
         assert matrix_count["matrices"] == before, data.n
-
-
-@pytest.mark.parametrize("coord", [2, 15], ids=["centroid1", "last-centroid"])
-def test_scan_around_a_probe_point_makes_at_most_one_whole_pass(matrix_count, coord):
-    """A certifying D1 scan centred on a probe point y = b + mu*e_j of the
-    last whole pass b: its first probe is one centroid from y but two from
-    b, which makes y the base, so the scan does not fall back to a whole
-    pass at every switch of centroid.  (Were j in centroid 0, the scan's
-    first probes would stay one centroid from b and the rule would not
-    apply.)"""
-    data = generate_blobs(4, 200, seed=0)
-    params = SolverParams()
-    problem = MsscProblem(data, k=8)
-    y = run_bdca_plus(problem, problem.sample_start(np.random.default_rng(3))).final_point
-    problem = MsscProblem(data, k=8)
-    b = y.copy()
-    b[coord] -= 0.5
-    problem.eval_g(b)  # the whole pass; y moves one centroid of b
-    before = matrix_count["matrices"]
-    pss = make_d1(problem.dim)
-    outcome = dfo_escape(problem, y, pss, DfoState(mu=params.mu_bar), params)
-    assert not outcome.escaped
-    assert matrix_count["matrices"] - before <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -802,8 +800,8 @@ def test_row_sum_plan_matches_numpy_reduce():
         problem = MsscProblem(ClusterData(np.zeros((n, 1))), k)
         ws = problem._workspace()
         ws.cols[...] = rows(n, k).T
-        base_sums, probe_sums = ws.row_sums[ws.b], ws.row_sums[1 - ws.b]
-        problem._row_sums(ws, base_sums)
+        base_sums, probe_sums = ws.row_sums
+        problem._row_sums(ws)
         dists = ws.cols.T.copy()  # C order: numpy adds rows pairwise
         assert base_sums.tobytes() == np.add.reduce(dists, axis=1).tobytes(), k
         for j in sorted(rng.choice(k, size=min(k, 3), replace=False).tolist()):

@@ -9,11 +9,11 @@ from dcboost import (
     make_d1,
     make_d2,
 )
+from dcboost import solvers
 from dcboost.core import Termination
 from dcboost.solvers import (
     DfoState,
     SelfAdaptiveState,
-    _drive,
     armijo_backtrack,
     check_d_stationarity,
     dca_step,
@@ -221,12 +221,11 @@ def test_run_dca_records_pure_steps(example2d):
         assert np.array_equal(rec.d_k, rec.y_k - rec.x_k)
 
 
-def test_bdca_with_zero_trials_reproduces_dca_bitwise(example2d):
+def test_bdca_with_zero_trials_reproduces_dca_bitwise(example2d, monkeypatch):
     x0 = np.array([0.37, -1.21])
     plain = run_dca(example2d, x0)
-    forced = _drive(
-        example2d, x0, None, boost=True, trial_rule=lambda state, g, l1: 0.0
-    )
+    monkeypatch.setattr(solvers, "next_trial_step", lambda state, g, l1: 0.0)
+    forced = run_bdca(example2d, x0)
     assert plain.n_iterations == forced.n_iterations
     assert np.array_equal(plain.final_point, forced.final_point)
     for a, b in zip(plain.iterations, forced.iterations):
