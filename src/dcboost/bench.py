@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from dcboost.core import Record, RunResult, SolverParams, Termination, timing
+from dcboost.core import DcProblem, Record, RunResult, SolverParams, Termination, timing
 from dcboost.problems.example2d import CRITICAL_POINTS, Example2dProblem
 from dcboost.problems.mssc import ClusterData, MsscProblem
 from dcboost.solvers import _norm, run_bdca, run_bdca_plus, run_dca
@@ -27,19 +27,18 @@ from dcboost.spanning import PositiveSpanningSet, make_d1, make_d2, make_d3
 
 __all__ = [
     "ALGORITHMS",
-    "TABLE1_BOX",
     "StartSummary",
     "PairRow",
     "PairedStats",
     "MultiStartReport",
     "classify_limit_point",
+    "run_algorithm",
     "run_table1",
     "run_pairwise_mssc",
     "make_pss",
 ]
 
 ALGORITHMS = ("DCA", "BDCA", "BDCA+")
-TABLE1_BOX = (-1.5, 1.5)
 UNCLASSIFIED = "unclassified"
 
 _PSS_FACTORIES = {"d1": make_d1, "d2": make_d2, "d3": make_d3}
@@ -154,18 +153,57 @@ def _run_chunks(task, n_starts: int, workers: int) -> list[dict]:
     return results
 
 
-def _summarize(index: int, x0: np.ndarray, res: RunResult, label=None) -> StartSummary:
-    return StartSummary(
-        index=index,
-        x0=x0,
-        final_point=res.final_point,
-        final_phi=res.final_phi,
-        n_iterations=res.n_iterations,
-        dfo_invocations=res.dfo_invocations,
-        wall_time=res.wall_time,
-        termination=res.termination,
-        label=label,
-    )
+def run_algorithm(
+    algo: str,
+    problem: DcProblem,
+    x0: np.ndarray,
+    pss: PositiveSpanningSet,
+    params: SolverParams,
+) -> RunResult:
+    """Run the solver named ``algo`` (one of :data:`ALGORITHMS`) from
+    ``x0``; ``pss`` is used by "BDCA+" only."""
+    # Runners are module globals called positionally: instrumentation rebinds them.
+    if algo == "DCA":
+        return run_dca(problem, x0, params)
+    if algo == "BDCA":
+        return run_bdca(problem, x0, params)
+    if algo == "BDCA+":
+        return run_bdca_plus(problem, x0, pss, params)
+    raise ValueError(f"unknown algorithm {algo!r}")
+
+
+def _run_starts(
+    bounds: tuple[int, int],
+    problem: DcProblem,
+    algorithms: Sequence[str],
+    seed: int,
+    params: SolverParams,
+    pss_kind: str,
+    refs: Optional[Sequence[tuple[str, np.ndarray]]] = None,
+) -> list[dict]:
+    """Per start index in ``bounds``, one summary per algorithm, all from
+    the start ``problem.sample_start`` draws from the index's substream;
+    end points are labelled against ``refs`` when given."""
+    pss = make_pss(pss_kind, problem.dim)
+    rows = []
+    for i in range(*bounds):
+        x0 = problem.sample_start(np.random.default_rng((seed, i)))
+        per: dict[str, StartSummary] = {}
+        for algo in algorithms:
+            res = run_algorithm(algo, problem, x0, pss, params)
+            per[algo] = StartSummary(
+                index=i,
+                x0=x0,
+                final_point=res.final_point,
+                final_phi=res.final_phi,
+                n_iterations=res.n_iterations,
+                dfo_invocations=res.dfo_invocations,
+                wall_time=res.wall_time,
+                termination=res.termination,
+                label=None if refs is None else classify_limit_point(res.final_point, refs),
+            )
+        rows.append(per)
+    return rows
 
 
 def _table1_chunk(
@@ -174,26 +212,8 @@ def _table1_chunk(
     params: SolverParams,
     pss_kind: str,
 ) -> list[dict]:
-    lo, hi = bounds
-    problem = Example2dProblem()
-    pss = make_pss(pss_kind, problem.dim)
     refs = [(label, np.asarray(p)) for label, p in CRITICAL_POINTS]
-    rows = []
-    for i in range(lo, hi):
-        rng = np.random.default_rng((seed, i))
-        x0 = rng.uniform(TABLE1_BOX[0], TABLE1_BOX[1], problem.dim)
-        per: dict[str, StartSummary] = {}
-        for algo in ALGORITHMS:
-            if algo == "DCA":
-                res = run_dca(problem, x0, params)
-            elif algo == "BDCA":
-                res = run_bdca(problem, x0, params)
-            else:
-                res = run_bdca_plus(problem, x0, pss, params)
-            label = classify_limit_point(res.final_point, refs)
-            per[algo] = _summarize(i, x0, res, label)
-        rows.append(per)
-    return rows
+    return _run_starts(bounds, Example2dProblem(), ALGORITHMS, seed, params, pss_kind, refs)
 
 
 def run_table1(
@@ -231,29 +251,12 @@ def run_table1(
 
 def _pairwise_chunk(
     bounds: tuple[int, int],
-    data: ClusterData,
-    k: int,
-    rho: Optional[float],
+    problem: MsscProblem,
     seed: int,
     params: SolverParams,
     pss_kind: str,
 ) -> list[dict]:
-    lo, hi = bounds
-    problem = MsscProblem(data, k, rho)
-    pss = make_pss(pss_kind, problem.dim)
-    rows = []
-    for i in range(lo, hi):
-        rng = np.random.default_rng((seed, i))
-        x0 = problem.sample_start(rng)
-        res_dca = run_dca(problem, x0, params)
-        res_plus = run_bdca_plus(problem, x0, pss, params)
-        rows.append(
-            {
-                "DCA": _summarize(i, x0, res_dca),
-                "BDCA+": _summarize(i, x0, res_plus),
-            }
-        )
-    return rows
+    return _run_starts(bounds, problem, ("DCA", "BDCA+"), seed, params, pss_kind)
 
 
 def run_pairwise_mssc(
@@ -279,9 +282,7 @@ def run_pairwise_mssc(
         params = SolverParams()
     task = partial(
         _pairwise_chunk,
-        data=data,
-        k=k,
-        rho=rho,
+        problem=MsscProblem(data, k, rho),
         seed=seed,
         params=params,
         pss_kind=pss_kind,

@@ -25,11 +25,11 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from dcboost.bench import ALGORITHMS, TABLE1_BOX, make_pss, run_pairwise_mssc, run_table1
+from dcboost.bench import ALGORITHMS, make_pss, run_algorithm, run_pairwise_mssc, run_table1
 from dcboost.core import ProblemDefinitionError, SolverParams
 from dcboost.problems.example2d import CRITICAL_POINTS, Example2dProblem
 from dcboost.problems.mssc import ClusterData, MsscProblem, generate_blobs, load_points_csv
-from dcboost.solvers import check_d_stationarity, run_bdca, run_bdca_plus, run_dca
+from dcboost.solvers import check_d_stationarity
 
 _EXIT_OK = 0
 _EXIT_FAILURE = 1
@@ -172,7 +172,7 @@ def _load_cluster_data(args) -> ClusterData:
 
 def _build_problem(args):
     if args.problem == "example2d":
-        return Example2dProblem(sign_at_zero=args.sign_at_zero)
+        return Example2dProblem()
     return MsscProblem(_load_cluster_data(args), args.k, args.rho)
 
 
@@ -183,18 +183,9 @@ def cmd_solve(args) -> int:
     if args.x0:
         x0 = _parse_point(args.x0, "--x0", problem.dim)
     else:
-        rng = np.random.default_rng((seed, 0))
-        if args.problem == "example2d":
-            x0 = rng.uniform(*TABLE1_BOX, problem.dim)
-        else:
-            x0 = problem.sample_start(rng)
-    if args.algo == "dca":
-        result = run_dca(problem, x0, params)
-    elif args.algo == "bdca":
-        result = run_bdca(problem, x0, params)
-    else:
-        pss = make_pss(args.pss, problem.dim)
-        result = run_bdca_plus(problem, x0, pss, params)
+        x0 = problem.sample_start(np.random.default_rng((seed, 0)))
+    pss = make_pss(args.pss, problem.dim)
+    result = run_algorithm(args.algo.upper(), problem, x0, pss, params)
     payload = {
         "algorithm": args.algo,
         "problem": args.problem,
@@ -329,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--x0", help="comma-separated start (e.g. --x0=0,1)")
     p_solve.add_argument("--seed", type=int, default=None, help="random start seed (used when --x0 is absent)")
     p_solve.add_argument("--pss", choices=["d1", "d2", "d3"], default="d1")
-    p_solve.add_argument("--sign-at-zero", dest="sign_at_zero", type=float, default=1.0)
     p_solve.add_argument("--json", default=None, help="result path (default: stdout)")
     p_solve.add_argument("--trace-csv", dest="trace_csv", default=None, help="per-iteration CSV path")
     p_solve.add_argument("--timings", action="store_true", help="include measured wall time (breaks byte reproducibility)")
@@ -343,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--pss", choices=["d1", "d2", "d3"], default="d1")
     p_check.add_argument("--tol", type=float, default=1e-6)
     p_check.add_argument("--fd-step", dest="fd_step", type=float, default=1e-7)
-    p_check.add_argument("--sign-at-zero", dest="sign_at_zero", type=float, default=1.0)
     p_check.add_argument("--json", default=None, help="report path (default: stdout)")
     _add_mssc_flags(p_check)
     p_check.set_defaults(func=cmd_check)

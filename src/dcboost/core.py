@@ -112,6 +112,10 @@ class SolverParams:
             object.__setattr__(self, "eta", 1.0 / self.beta2)
         if self.tau is None:
             object.__setattr__(self, "tau", self.eps2)
+        for f in dataclasses.fields(self):
+            # NaN passes every comparison below; the int max_iter is exempt.
+            if f.name != "max_iter" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not 0.0 < self.beta1 < 1.0:
             raise ValueError("beta1 must lie in (0, 1)")
         if not 0.0 < self.beta2 < 1.0:
@@ -298,10 +302,7 @@ class DcProblem(ABC):
     keep private per-thread buffers (say, of work shared by the oracles at
     one point, updated in place from one point to the next) as long as
     every result stays bit-identical to a fresh instance's and a shared
-    instance stays safe under concurrent calls.  The clustering problem,
-    for one, keeps its distances by centroid, one contiguous row per
-    centroid, and fills the matrix by data point only because the bits
-    of its total follow that matrix's summation order.
+    instance stays safe under concurrent calls.
 
     ``solve_subproblem(u)`` must return the unique minimizer ``y`` of
     ``g(x) - <u, x>``, i.e. the point with ``grad_g(y) = u``.  Solvers

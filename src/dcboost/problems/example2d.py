@@ -87,6 +87,10 @@ class Example2dProblem(DcProblem):
             total += t * s
         return total
 
+    def sample_start(self, rng: np.random.Generator) -> Point:
+        """Random start, uniform in the square [-1.5, 1.5]^2."""
+        return rng.uniform(-1.5, 1.5, self.dim)
+
     @staticmethod
     def phi_direct(x: Point) -> float:
         """Direct objective formula, for cross-checking only."""

@@ -86,6 +86,9 @@ def generate_blobs(
         raise ValueError("spread must be positive")
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
+    # NaN passes the comparisons; an infinite box overflows the draw.
+    if not (math.isfinite(spread) and np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("spread and box must be finite")
     if lo.shape != hi.shape or lo.ndim != 1 or np.any(hi <= lo):
         raise ValueError("box must be (low, high) with high > low per coordinate")
     rng = np.random.default_rng(seed)
@@ -257,6 +260,8 @@ class MsscProblem(DcProblem):
         self.k = int(k)
         self.dim = self.k * data.dim_space
         self.rho = float(rho) if rho is not None else 1.0 / (data.n * self.k)
+        if not math.isfinite(self.rho):
+            raise ValueError("rho must be finite")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         self._a = data.points
@@ -476,14 +481,15 @@ class MsscProblem(DcProblem):
         """
         c, e = self._at(x)
         db = self._centroids(d)
-        # Branch values b_ij =S_i - dist_ij; derivative of branch j for
-        # point i is G_i - c_ij with the per-centroid terms below.
+        # Branch j of point i (its sum with term j dropped) is active where
+        # centroid j is nearest; its derivative is G_i - c_ij with the
+        # per-centroid terms below.  Ties are found on the distances: the
+        # branch values S_i - dist_ij round small gaps away when S_i is large.
         block_dot = np.einsum("ij,ij->i", c, db)  # <x_j, d_j> per centroid
         cross = self._a @ db.T  # <a_i, d_j>
         per_branch = 2.0 * (block_dot[None, :] - cross)  # c_ij
         total = per_branch.sum(axis=1)  # G_i
-        branch_vals = e.row_sums[:, None] - e.dists
-        ties = branch_vals == branch_vals.max(axis=1, keepdims=True)
+        ties = e.dists == e.row_min[:, None]
         deriv = np.where(ties, total[:, None] - per_branch, -np.inf).max(axis=1)
         x = np.asarray(x)
         return float(deriv.sum() / self.data.n + self.rho * np.dot(x, d))

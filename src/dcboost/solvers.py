@@ -438,6 +438,8 @@ def check_d_stationarity(
     ``tol`` can meaningfully be).  Nonnegativity of all of them (within
     ``tol``) certifies there is no descent direction anywhere.
     """
+    if not (math.isfinite(tol) and math.isfinite(fd_step)):
+        raise ValueError("tol and fd_step must be finite")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     if fd_step <= 0:

@@ -6,7 +6,8 @@ import pytest
 import dcboost.bench
 
 from dcboost import MultiStartReport, classify_limit_point
-from dcboost.bench import UNCLASSIFIED, run_pairwise_mssc, run_table1
+from dcboost.bench import UNCLASSIFIED, make_pss, run_algorithm, run_pairwise_mssc, run_table1
+from dcboost.cli import main
 from dcboost.core import Termination
 from dcboost.problems.example2d import CRITICAL_POINTS
 
@@ -140,7 +141,7 @@ def test_report_round_trip(small_blobs):
                 assert (sb.wall_time is None) == (not include)
 
 
-def test_runners_called_by_module_name_once_per_start(monkeypatch, small_blobs):
+def test_runners_called_by_module_name_once_per_start(monkeypatch, small_blobs, tmp_path):
     # Instrumentation wraps the runners by rebinding these module globals,
     # so the harness must look them up at call time and pass arguments
     # positionally; the wrappers below accept nothing else.
@@ -157,3 +158,14 @@ def test_runners_called_by_module_name_once_per_start(monkeypatch, small_blobs):
     calls.clear()
     run_pairwise_mssc(small_blobs, k=2, n_starts=2, seed=0)
     assert calls == {"run_dca": 2, "run_bdca_plus": 2}
+    # The CLI's solve runs through the same globals, once.
+    for algo, name in (("dca", "run_dca"), ("bdca", "run_bdca"), ("bdca+", "run_bdca_plus")):
+        calls.clear()
+        argv = ["solve", "--problem", "example2d", "--algo", algo, "--x0=0,1"]
+        assert main(argv + ["--json", str(tmp_path / "run.json")]) == 0
+        assert calls == {name: 1}
+
+
+def test_run_algorithm_rejects_unknown_name(example2d, params):
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        run_algorithm("bdca", example2d, np.zeros(2), make_pss("d1", 2), params)

@@ -98,13 +98,13 @@ def test_solve_json_records_round_trip(tmp_path):
 
 
 def test_solve_oracle_failure_exits_one(tmp_path, capsys, monkeypatch):
-    from dcboost import cli
     from dcboost.core import ProblemDefinitionError
+    from dcboost.problems.example2d import Example2dProblem
 
     def boom(*args, **kwargs):
         raise ProblemDefinitionError("synthetic oracle failure")
 
-    monkeypatch.setattr(cli, "run_dca", boom)
+    monkeypatch.setattr(Example2dProblem, "eval_g", boom)
     code = run_cli("solve", "--problem", "example2d", "--algo", "dca", "--x0=0,1")
     assert code == 1
     assert "synthetic oracle failure" in capsys.readouterr().err
@@ -124,6 +124,23 @@ def test_solve_unknown_flag_is_usage_error(capsys):
 def test_solve_mssc_requires_data(capsys):
     code = run_cli("solve", "--problem", "mssc", "--algo", "dca", "--k", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--problem", "example2d", "--algo", "dca", "--x0=0.3,0.7", "--eps1", "nan"], "eps1"),
+        (["--problem", "example2d", "--algo", "bdca+", "--x0=0.3,0.7", "--eps2", "nan"], "eps2"),
+        (["--problem", "mssc", "--algo", "dca", "--blobs", "2x10", "--k", "2", "--rho", "nan"], "rho"),
+    ],
+)
+def test_solve_non_finite_parameter_is_usage_error(capsys, argv, name):
+    # NaN passes every sign check.  Unchecked, --eps1 nan stops DCA at a
+    # point that is not critical, and the other two are blamed on the
+    # oracles (exit 1).
+    code = run_cli("solve", *argv)
+    assert code == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ check
@@ -152,6 +169,13 @@ def test_check_origin_exits_three(tmp_path):
 
 def test_check_saddle_exits_three():
     assert run_cli("check", "--problem", "example2d", "--point=0,-1") == 3
+
+
+def test_check_nan_tol_is_usage_error(capsys):
+    # Unchecked, a NaN tolerance rejects the global minimum (exit 3).
+    code = run_cli("check", "--problem", "example2d", "--point=-1,-1", "--tol", "nan")
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_check_dimension_mismatch_exits_two(capsys):

@@ -76,6 +76,16 @@ def test_params_validation(kwargs):
         SolverParams(**kwargs)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "name", [f.name for f in dataclasses.fields(SolverParams) if f.name != "max_iter"]
+)
+def test_params_reject_non_finite(name, value):
+    # NaN passes every sign check, so it needs its own.
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SolverParams(**{name: value})
+
+
 def test_as_point_checks():
     with pytest.raises(ValueError):
         as_point([1.0, float("nan")])

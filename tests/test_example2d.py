@@ -23,6 +23,12 @@ def test_subgrad_zero_convention():
     assert np.array_equal(prob.subgrad_h(np.zeros(2)), np.zeros(2))
 
 
+def test_sample_start_draws_from_the_square(example2d):
+    # The draw that table1's basin counts and solve's default start rest on.
+    x = example2d.sample_start(np.random.default_rng((2, 7)))
+    assert np.array_equal(x, np.random.default_rng((2, 7)).uniform(-1.5, 1.5, 2))
+
+
 def test_sign_at_zero_validation():
     with pytest.raises(ValueError):
         Example2dProblem(sign_at_zero=1.5)

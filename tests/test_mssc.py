@@ -60,6 +60,9 @@ def test_generate_blobs_validation():
         generate_blobs(2, 10, spread=0.0)
     with pytest.raises(ValueError):
         generate_blobs(2, 10, box=((0.0, 0.0), (0.0, 1.0)))
+    for spread, hi in ((float("nan"), 1.0), (1.0, float("nan")), (1.0, float("inf"))):
+        with pytest.raises(ValueError, match="must be finite"):
+            generate_blobs(2, 10, spread=spread, box=((0.0, 0.0), (hi, 1.0)))
 
 
 def test_load_csv_basic(tmp_path):
@@ -104,6 +107,10 @@ def test_constructor_validation(small_blobs):
         MsscProblem(small_blobs, k=0)
     with pytest.raises(ValueError):
         MsscProblem(small_blobs, k=2, rho=0.0)
+    # NaN passes the sign check, so finiteness is checked on its own.
+    for rho in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rho must be finite"):
+            MsscProblem(small_blobs, k=2, rho=rho)
 
 
 def test_default_rho(small_blobs):
@@ -211,6 +218,18 @@ def test_dir_deriv_at_exact_tie():
     for _ in range(20):
         d = rng.normal(0.0, 1.0, 4)
         assert prob.dir_deriv_h(x, d) == pytest.approx(manual(d), abs=1e-12)
+
+
+def test_dir_deriv_near_tie_with_large_row_sum():
+    # The distances 1 and (1 + 2**-40)**2 differ, but beside the 1e8 of the
+    # far centroid the branch values S - dist round equal.  Only centroid 0
+    # is nearest, so h is smooth here and h'(x; d) = <grad_g(x), d>.
+    prob = MsscProblem(ClusterData(np.zeros((1, 2))), k=3, rho=0.5)
+    x = np.array([1.0, 0.0, 0.0, 1.0 + 2.0**-40, 1e4, 0.0])
+    d = np.array([0.0, 0.0, 0.0, -1.0, 0.0, 0.0])
+    expected = float(np.dot(prob.grad_g(x), d))
+    assert expected == -2.5000000000022737
+    assert prob.dir_deriv_h(x, d) == pytest.approx(expected, rel=1e-15)
 
 
 @pytest.mark.parametrize("rho", [1e-3, 1.0, 7.0])
@@ -520,8 +539,7 @@ def _whole_matrix_oracles(problem, x, direction):
     )
     db = direction.reshape(k, s)
     per_branch = 2.0 * (np.einsum("ij,ij->i", c, db)[None, :] - a @ db.T)
-    branch_vals = d.sum(axis=1, keepdims=True) - d
-    ties = branch_vals == branch_vals.max(axis=1, keepdims=True)
+    ties = d == row_min[:, None]  # the active branches: nearest centroids
     deriv = np.where(ties, per_branch.sum(axis=1)[:, None] - per_branch, -np.inf)
     return d, {
         "eval_g": float(d.sum() / n + reg),

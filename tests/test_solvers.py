@@ -395,3 +395,7 @@ def test_stationarity_validation(example2d):
         check_d_stationarity(example2d, np.zeros(2), D1, tol=-1.0)
     with pytest.raises(ValueError):
         check_d_stationarity(example2d, np.zeros(2), D1, fd_step=0.0)
+    # NaN passes the sign checks, so finiteness is checked on its own.
+    for kwargs in ({"tol": float("nan")}, {"tol": float("inf")}, {"fd_step": float("nan")}):
+        with pytest.raises(ValueError, match="finite"):
+            check_d_stationarity(example2d, np.array([-1.0, -1.0]), D1, **kwargs)
