@@ -147,7 +147,8 @@ def _run_chunks(task, n_starts: int, workers: int) -> list[dict]:
         return task((0, n_starts))
     ranges = _chunk_ranges(n_starts, workers * 4)
     results: list[dict] = []
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    # The pool starts all its processes at the first submit: no more than chunks.
+    with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as ex:
         for part in ex.map(task, ranges):
             results.extend(part)
     return results
@@ -232,6 +233,8 @@ def run_table1(
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if params is None:
         params = SolverParams()
     task = partial(_table1_chunk, seed=seed, params=params, pss_kind=pss_kind)
@@ -278,6 +281,8 @@ def run_pairwise_mssc(
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if params is None:
         params = SolverParams()
     task = partial(

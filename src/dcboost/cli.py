@@ -21,6 +21,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import nullcontext
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -53,12 +54,16 @@ def _write_csv(path: str, rows: list[list]) -> None:
 
 
 def _write_json(path: Optional[str], payload) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    """Encode ``payload`` straight into ``path`` (stdout when None), so no
+    copy of the report's text is held; a failed write can leave the file
+    truncated."""
     if path is None:
-        sys.stdout.write(text)
+        sink = nullcontext(sys.stdout)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        sink = open(path, "w", encoding="utf-8", newline="\n")
+    with sink as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _parse_floats(text: str) -> np.ndarray:

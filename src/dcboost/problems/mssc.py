@@ -272,14 +272,12 @@ class MsscProblem(DcProblem):
         self._local = threading.local()
 
     def __getstate__(self) -> dict:
-        # The per-thread buffers are rebuilt on first use.
-        state = self.__dict__.copy()
-        del state["_local"]
-        return state
+        # The defining state only: the derived arrays are rebuilt with the
+        # same bits and the per-thread buffers on first use.
+        return {"data": self.data, "k": self.k, "rho": self.rho}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._local = threading.local()
+        self.__init__(state["data"], state["k"], state["rho"])
 
     def _workspace(self) -> _Workspace:
         ws = getattr(self._local, "ws", None)

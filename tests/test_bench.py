@@ -37,6 +37,11 @@ def test_classify_rejects_bad_tol():
 def test_spec_validation(small_blobs):
     with pytest.raises(ValueError):
         run_pairwise_mssc(small_blobs, k=2, n_starts=0, seed=0)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_pairwise_mssc(small_blobs, k=2, n_starts=1, seed=0, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_table1(1, seed=0, workers=workers)
 
 
 def test_table1_small_counts_and_structure():
@@ -127,6 +132,28 @@ def test_pairwise_deterministic_and_worker_independent(small_blobs):
             rc.phi_dca,
             rc.phi_bdca_plus,
         )
+
+
+def test_pool_has_no_more_processes_than_chunks(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(dcboost.bench, "ProcessPoolExecutor", SerialPool)
+    report = run_table1(2, seed=0, workers=64)
+    assert sizes == [2]
+    assert report.to_dict() == run_table1(2, seed=0).to_dict()
 
 
 def test_report_round_trip(small_blobs):

@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dcboost.bench import MultiStartReport
-from dcboost.cli import _params_from_args, build_parser, main
+from dcboost.bench import MultiStartReport, run_table1
+from dcboost.cli import _params_from_args, _write_json, build_parser, main
 from dcboost.core import SolverParams
 from dcboost.problems.mssc import load_points_csv
 from dcboost.solvers import StationarityReport
@@ -183,6 +184,41 @@ def test_check_dimension_mismatch_exits_two(capsys):
     assert code == 2
 
 
+# ----------------------------------------------------------------- output
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--problem", "example2d", "--algo", "bdca+", "--x0=0,1"],
+        ["check", "--problem", "example2d", "--point=0,-1"],
+    ],
+    ids=["solve", "check"],
+)
+def test_stdout_holds_the_json_file_bytes(tmp_path, capsysbinary, argv):
+    out = tmp_path / "report.json"
+    code = run_cli(*argv, "--json", str(out))
+    assert capsysbinary.readouterr().out == b""
+    assert run_cli(*argv) == code
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+def test_write_json_encodes_into_the_file(tmp_path):
+    # A report is encoded as it is written: no copy of its text is held.
+    payload = run_table1(300, seed=0).to_dict()
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _write_json(str(out), payload)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(payload, indent=2) + "\n"
+    assert peak < len(text) / 4
+
+
 # ----------------------------------------------------------------- table1
 
 
@@ -295,6 +331,25 @@ def test_cluster_bad_csv_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--starts", "2"],
+        ["cluster", "--blobs", "2x10", "--k", "2", "--starts", "1"],
+    ],
+    ids=["table1", "cluster"],
+)
+def test_non_positive_workers_is_usage_error(tmp_path, capsys, argv, workers):
+    csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
+    code = run_cli(
+        *argv, "--workers", workers, "--csv", str(csv_out), "--json", str(json_out)
+    )
+    assert code == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not csv_out.exists() and not json_out.exists()
 
 
 # -------------------------------------------------------------------- gen

@@ -986,6 +986,8 @@ def test_copies_drop_the_buffers_and_match_fresh_instances(clone):
     for x in (y, *probes):
         problem.eval_g(x)
     assert len(pickle.dumps(problem)) < data.n * k * 8  # no matrix in the state
+    # Only the defining state: no derived copy of the points either.
+    assert len(pickle.dumps(problem)) <= len(pickle.dumps(data)) + 512
     twin = pickle.loads(pickle.dumps(problem)) if clone == "pickle" else copy.deepcopy(problem)
     for x in (probes[3], *probes, y):
         expected = _all_bits(MsscProblem(data, k), x)
