@@ -116,7 +116,7 @@ def classify_limit_point(
     References closer than ``2*tol`` to each other would make labels
     ambiguous, so that configuration is rejected outright.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
     # On plain float tuples the spacing check costs a fraction of array
     # arithmetic; it runs on every call.

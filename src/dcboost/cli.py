@@ -3,11 +3,10 @@
 Subcommands: ``solve`` (single run), ``check`` (d-stationarity test),
 ``table1`` (basin-count experiment), ``cluster`` (paired clustering
 comparison), ``gen`` (synthetic CSV data).  Results go to JSON and CSV
-files whose bytes are reproducible: seeds default to 0 (overridable via
-the ``DCBOOST_SEED`` environment variable; an explicit ``--seed`` flag
-wins), floats are serialized with shortest round-trip precision, and
-measured wall times are written only when ``--timings`` is passed, since
-they are the one thing that cannot be reproduced byte-for-byte.
+files whose bytes are reproducible: ``--seed`` defaults to 0, floats
+are serialized with shortest round-trip precision, and measured wall
+times are written only when ``--timings`` is passed, since they are the
+one thing that cannot be reproduced byte-for-byte.
 
 Exit codes: 0 success, 1 internal/oracle failure, 2 usage error,
 3 negative verdict from ``check``.
@@ -19,7 +18,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import os
 import sys
 from contextlib import nullcontext
 from typing import Optional, get_type_hints
@@ -102,18 +100,6 @@ def _parse_blob_spec(text: str) -> tuple[int, int]:
     return n_blobs, per
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("DCBOOST_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"DCBOOST_SEED must be an integer, got {env!r}")
-    return 0
-
-
 # One --flag per SolverParams field (``mu_bar`` -> ``--mu-bar``); the
 # integer fields parse as int, all others as float.
 _PARAM_HINTS = get_type_hints(SolverParams)
@@ -182,13 +168,12 @@ def _build_problem(args):
 
 
 def cmd_solve(args) -> int:
-    seed = _resolve_seed(args)
     params = _params_from_args(args)
     problem = _build_problem(args)
     if args.x0:
         x0 = _parse_point(args.x0, "--x0", problem.dim)
     else:
-        x0 = problem.sample_start(np.random.default_rng((seed, 0)))
+        x0 = problem.sample_start(np.random.default_rng((args.seed, 0)))
     pss = make_pss(args.pss, problem.dim)
     result = run_algorithm(args.algo.upper(), problem, x0, pss, params)
     payload = {
@@ -230,16 +215,15 @@ def cmd_check(args) -> int:
     problem = _build_problem(args)
     point = _parse_point(args.point, "--point", problem.dim)
     pss = make_pss(args.pss, problem.dim)
-    report = check_d_stationarity(problem, point, pss, tol=args.tol, fd_step=args.fd_step)
+    report = check_d_stationarity(problem, point, pss, tol=args.tol)
     _write_json(args.json, report.to_dict())
     return _EXIT_OK if report.is_d_stationary else _EXIT_NOT_STATIONARY
 
 
 def cmd_table1(args) -> int:
-    seed = _resolve_seed(args)
     params = _params_from_args(args)
     report = run_table1(
-        args.starts, seed, params, workers=args.workers, pss_kind=args.pss
+        args.starts, args.seed, params, workers=args.workers, pss_kind=args.pss
     )
     labels = [label for label, _ in CRITICAL_POINTS] + ["unclassified"]
     rows: list[list] = [["algorithm"] + labels]
@@ -251,14 +235,13 @@ def cmd_table1(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    seed = _resolve_seed(args)
     params = _params_from_args(args)
     data = _load_cluster_data(args)
     report = run_pairwise_mssc(
         data,
         args.k,
         args.starts,
-        seed,
+        args.seed,
         params,
         workers=args.workers,
         pss_kind=args.pss,
@@ -286,7 +269,7 @@ def cmd_cluster(args) -> int:
             "problem": "mssc",
             "k": args.k,
             "n_starts": args.starts,
-            "seed": seed,
+            "seed": args.seed,
             "pss": args.pss,
             "paired_stats": stats.to_dict(),
         },
@@ -295,16 +278,15 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    seed = _resolve_seed(args)
     n_blobs, per = _parse_blob_spec(args.blobs)
     box = _parse_box(args.box)
     if len(box[0]) != 2:  # the file holds 'x,y' lines
         raise ValueError("gen needs a 2-D --box: xmin,ymin,xmax,ymax")
-    data = generate_blobs(n_blobs, per, spread=args.spread, box=box, seed=seed)
+    data = generate_blobs(n_blobs, per, spread=args.spread, box=box, seed=args.seed)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             f"# blobs={args.blobs} spread={_fmt(args.spread)} "
-            f"box={args.box} seed={seed}\n"
+            f"box={args.box} seed={args.seed}\n"
         )
         for p in data.points:
             fh.write(f"{_fmt(p[0])},{_fmt(p[1])}\n")
@@ -316,14 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dcboost",
         description="DC solvers with line-search boosting and a direct-search escape step.",
     )
-    parser.add_argument("-v", "--verbose", action="count", default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="run one solver from one start")
     p_solve.add_argument("--problem", choices=["example2d", "mssc"], required=True)
     p_solve.add_argument("--algo", choices=["dca", "bdca", "bdca+"], required=True)
     p_solve.add_argument("--x0", help="comma-separated start (e.g. --x0=0,1)")
-    p_solve.add_argument("--seed", type=int, default=None, help="random start seed (used when --x0 is absent)")
+    p_solve.add_argument("--seed", type=int, default=0, help="random start seed (used when --x0 is absent)")
     p_solve.add_argument("--pss", choices=["d1", "d2", "d3"], default="d1")
     p_solve.add_argument("--json", default=None, help="result path (default: stdout)")
     p_solve.add_argument("--trace-csv", dest="trace_csv", default=None, help="per-iteration CSV path")
@@ -337,14 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--point", required=True, help="comma-separated coordinates (e.g. --point=-1,-1)")
     p_check.add_argument("--pss", choices=["d1", "d2", "d3"], default="d1")
     p_check.add_argument("--tol", type=float, default=1e-6)
-    p_check.add_argument("--fd-step", dest="fd_step", type=float, default=1e-7)
     p_check.add_argument("--json", default=None, help="report path (default: stdout)")
     _add_mssc_flags(p_check)
     p_check.set_defaults(func=cmd_check)
 
     p_t1 = sub.add_parser("table1", help="basin counts on the 2-D test problem")
     p_t1.add_argument("--starts", type=int, required=True)
-    p_t1.add_argument("--seed", type=int, default=None)
+    p_t1.add_argument("--seed", type=int, default=0)
     p_t1.add_argument("--pss", choices=["d1", "d2", "d3"], default="d1")
     p_t1.add_argument("--csv", default="table1_counts.csv")
     p_t1.add_argument("--json", default="table1_report.json")
@@ -355,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cl = sub.add_parser("cluster", help="paired DCA vs escape-step comparison on clustering data")
     p_cl.add_argument("--starts", type=int, default=50)
-    p_cl.add_argument("--seed", type=int, default=None)
+    p_cl.add_argument("--seed", type=int, default=0)
     p_cl.add_argument("--pss", choices=["d1", "d2", "d3"], default="d1")
     p_cl.add_argument("--csv", default="cluster_pairs.csv")
     p_cl.add_argument("--json", default="cluster_summary.json")
@@ -369,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--blobs", required=True, help="spec 'NxP' (N blobs, P points each)")
     p_gen.add_argument("--spread", type=float, default=1.0)
     p_gen.add_argument("--box", default="-10,-10,10,10")
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)
 
@@ -382,10 +362,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else _EXIT_USAGE
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose > 1 else (logging.INFO if args.verbose else logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except ProblemDefinitionError as exc:

@@ -113,7 +113,7 @@ class SolverParams:
         if self.tau is None:
             object.__setattr__(self, "tau", self.eps2)
         for f in dataclasses.fields(self):
-            # NaN passes every comparison below; the int max_iter is exempt.
+            # NaN passes every comparison below; max_iter is checked as an int.
             if f.name != "max_iter" and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
         if not 0.0 < self.beta1 < 1.0:
@@ -136,7 +136,8 @@ class SolverParams:
             raise ValueError("tau must be nonnegative")
         if self.lambda_bar1 <= 0.0:
             raise ValueError("lambda_bar1 must be positive")
-        if self.max_iter < 1:
+        # range() in the driver loop takes integers only, not 1e3 or inf.
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
 
 
@@ -314,8 +315,9 @@ class DcProblem(ABC):
     rho: float
 
     #: Exact one-sided directional derivative ``h'(x; d)``, or ``None``
-    #: when unavailable (stationarity checks then fall back to a forward
-    #: difference).  Subclasses override this as a method.
+    #: when unavailable.  The solvers do not need it; the d-stationarity
+    #: test does, and raises ValueError without it.  Subclasses override
+    #: this as a method.
     dir_deriv_h = None
 
     @abstractmethod
@@ -382,12 +384,16 @@ class ValidationReport:
         raise KeyError(name)
 
 
-def _fd_grad_g(problem: DcProblem, x: Point, fd_step: float) -> Point:
+# Relative step of the central differences in :func:`validate_problem`.
+_FD_STEP = 1e-6
+
+
+def _fd_grad_g(problem: DcProblem, x: Point) -> Point:
     # Central differences with a per-coordinate step scaled to the point,
     # balancing truncation against round-off in double precision.
     grad = np.empty_like(x)
     for i in range(x.shape[0]):
-        step = fd_step * (1.0 + abs(x[i]))
+        step = _FD_STEP * (1.0 + abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += step
@@ -396,11 +402,7 @@ def _fd_grad_g(problem: DcProblem, x: Point, fd_step: float) -> Point:
     return grad
 
 
-def validate_problem(
-    problem: DcProblem,
-    samples: Sequence[Point],
-    fd_step: float = 1e-6,
-) -> ValidationReport:
+def validate_problem(problem: DcProblem, samples: Sequence[Point]) -> ValidationReport:
     """Spot-check a problem definition on a set of sample points.
 
     Three checks run, each reported separately:
@@ -415,15 +417,13 @@ def validate_problem(
     """
     if len(samples) == 0:
         raise ValueError("samples must be nonempty")
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
     pts = [as_point(s, problem.dim) for s in samples]
     report = ValidationReport()
 
     worst = 0.0
     worst_at = -1
     for idx, x in enumerate(pts):
-        fd = _fd_grad_g(problem, x, fd_step)
+        fd = _fd_grad_g(problem, x)
         exact = problem.grad_g(x)
         err = float(np.linalg.norm(fd - exact) / (1.0 + np.linalg.norm(exact)))
         if err > worst:

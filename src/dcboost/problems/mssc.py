@@ -102,8 +102,8 @@ def load_points_csv(path: str | os.PathLike) -> ClusterData:
     """Load planar points from a CSV file with one ``x,y`` pair per line.
 
     Lines starting with ``#`` and blank lines are skipped.  Anything else
-    that does not parse as exactly two decimal numbers raises ValueError
-    naming the offending line.
+    that does not parse as exactly two finite decimal numbers raises
+    ValueError naming the offending line.
     """
     rows: list[tuple[float, float]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -117,11 +117,14 @@ def load_points_csv(path: str | os.PathLike) -> ClusterData:
                     f"{path}: line {lineno}: expected 'x,y', got {line!r}"
                 )
             try:
-                rows.append((float(fields[0]), float(fields[1])))
+                row = (float(fields[0]), float(fields[1]))
             except ValueError:
                 raise ValueError(
                     f"{path}: line {lineno}: could not parse {line!r} as two numbers"
                 ) from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}: line {lineno}: {line!r} is not finite")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data points found")
     return ClusterData(np.array(rows))
@@ -185,14 +188,14 @@ class _PointEval(NamedTuple):
 class _Workspace:
     """One thread's buffers, rewritten in place for every new point.  The
     oracles read ``entry`` at ``key`` (None while buffers are written);
-    ``base`` is the base's entry (see :class:`MsscProblem`).  ``cols``
+    ``base_key`` is the base's (see :class:`MsscProblem`).  ``cols``
     holds the base's distances by centroid; ``dists`` holds them by data
     point, but in column ``col``, where a probe wrote its own.  Labels,
     row sums and minima keep the base's in row 0 and a probe's in row 1
     (probes run only for 2-D data with k >= 2 and n >= 2)."""
 
     def __init__(self, n: int, k: int):
-        self.key = self.base_key = self.entry = self.base = None
+        self.key = self.base_key = self.entry = None
         self.col, self.built = None, False
         self.cols, self.dists = np.empty((k, n)), np.empty((n, k))
         self.labels = np.empty((2, n), dtype=np.intp)
@@ -208,12 +211,6 @@ class _Workspace:
         for v in views:
             v.flags.writeable = False
         self.views = [(views[0], *(v[i] for v in views[1:])) for i in (0, 1)]
-
-    def restore(self) -> None:
-        """Puts the base's values back in column ``col``."""
-        if self.col is not None:
-            self.dists[:, self.col] = self.cols[self.col]
-            self.col = None
 
 
 class MsscProblem(DcProblem):
@@ -247,15 +244,16 @@ class MsscProblem(DcProblem):
     is j, with argmin's first-index rule), the row sums by adding again
     the path from column j from the base's partial sums, and the total as
     ``dists.sum()`` with the column written in, which touches the whole
-    matrix.  Any other point, and a probe whose total is not finite, takes
-    a whole pass, which becomes the base.  Probes run only for 2-D data
-    with k >= 2 and n >= 2: with more coordinates a probe's two-row
-    product can round differently from the same row of the whole pass's.
+    matrix.  Any other point, the base's own included, and a probe whose
+    total is not finite, takes a whole pass, which becomes the base.
+    Probes run only for 2-D data with k >= 2 and n >= 2: with more
+    coordinates a probe's two-row product can round differently from the
+    same row of the whole pass's.
     """
 
     def __init__(self, data: ClusterData, k: int, rho: float | None = None):
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        if not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError("k must be an integer >= 1")
         self.data = data
         self.k = int(k)
         self.dim = self.k * data.dim_space
@@ -298,7 +296,7 @@ class MsscProblem(DcProblem):
         -2 is exact and ``s - 2m`` is the same operation as ``-2m + s``.
         """
         ws = self._workspace()
-        ws.key = ws.base_key = ws.base = ws.col = None
+        ws.key = ws.base_key = ws.col = None
         ws.built = False
         cols, labels, row_min = ws.cols, ws.labels[0], ws.row_min[0]
         if self.k > 1 and self.data.n > 1:
@@ -351,7 +349,8 @@ class MsscProblem(DcProblem):
         col, sq = np.matmul(c[[j, j]], self._a_t, out=ws.pair)
         self._finish(col, np.add(self._a_sq, np.einsum("ij,ij->i", c, c)[j], out=sq))
         if ws.col != j:
-            ws.restore()
+            if ws.col is not None:  # the base's values back in the last probe's column
+                ws.dists[:, ws.col] = ws.cols[ws.col]
             ws.col = j
         ws.dists[:, j] = col
         labels, row_min = ws.labels[1], ws.row_min[1]
@@ -404,7 +403,8 @@ class MsscProblem(DcProblem):
         """Centroids at ``x`` and everything the oracles read there, as
         read-only views of the calling thread's buffers (valid until its
         next call at another point); the last point's buffers are reused,
-        and a probe is evaluated from the base."""
+        a probe is evaluated from the base, and any other point, the
+        base's own included, takes a whole pass."""
         c = self._centroids(x)
         key = c.tobytes()
         ws = self._workspace()
@@ -413,11 +413,7 @@ class MsscProblem(DcProblem):
         # Cleared before any buffer is written: a call that fails midway
         # leaves no point for the next one to reuse.
         ws.key = total = None
-        if ws.base is not None and self._probes:
-            if key == ws.base_key:
-                ws.restore()
-                ws.entry, ws.key = ws.base, key
-                return c, ws.entry
+        if ws.base_key is not None and self._probes:
             j = self._moved(key, ws.base_key)
             if j is not None:
                 total = self._update_columns(ws, c, j)
@@ -427,7 +423,7 @@ class MsscProblem(DcProblem):
         reg = 0.5 * self.rho * float(np.dot(c.ravel(), c.ravel()))
         ws.entry = _PointEval(*ws.views[0 if whole else 1], total, reg)
         if whole and math.isfinite(total):
-            ws.base_key, ws.base = key, ws.entry
+            ws.base_key = key
         ws.key = key
         return c, ws.entry
 

@@ -381,6 +381,13 @@ def _drive(
     return RunResult(final, final_phi, records, termination, dfo_invocations, wall)
 
 
+def _require_same_dim(problem: DcProblem, pss: PositiveSpanningSet) -> None:
+    if pss.dim != problem.dim:
+        raise ValueError(
+            f"spanning set dimension {pss.dim} != problem dimension {problem.dim}"
+        )
+
+
 def run_dca(
     problem: DcProblem, x0: Point, params: Optional[SolverParams] = None
 ) -> RunResult:
@@ -415,10 +422,7 @@ def run_bdca_plus(
     """
     if pss is None:
         pss = make_d1(problem.dim)
-    if pss.dim != problem.dim:
-        raise ValueError(
-            f"spanning set dimension {pss.dim} != problem dimension {problem.dim}"
-        )
+    _require_same_dim(problem, pss)
     return _drive(problem, x0, params, boost=True, pss=pss)
 
 
@@ -427,34 +431,29 @@ def check_d_stationarity(
     x: Point,
     pss: PositiveSpanningSet,
     tol: float = 1e-6,
-    fd_step: float = 1e-7,
 ) -> StationarityReport:
     """Directional-derivative test over a positive spanning set.
 
     For each direction v the one-sided derivative of the objective is
-    ``<grad_g(x), v> - h'(x; v)``.  The exact ``dir_deriv_h`` oracle is
-    used when the problem provides one; otherwise ``h'`` falls back to a
-    forward difference with step ``fd_step`` (which limits how small
-    ``tol`` can meaningfully be).  Nonnegativity of all of them (within
-    ``tol``) certifies there is no descent direction anywhere.
+    ``<grad_g(x), v> - h'(x; v)``, with ``h'`` from the problem's exact
+    ``dir_deriv_h`` oracle (a problem without one raises ValueError).
+    Nonnegativity of all of them (within ``tol``) certifies there is no
+    descent direction anywhere.
     """
-    if not (math.isfinite(tol) and math.isfinite(fd_step)):
-        raise ValueError("tol and fd_step must be finite")
+    if not math.isfinite(tol):
+        raise ValueError("tol must be finite")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
+    _require_same_dim(problem, pss)
+    h_prime = problem.dir_deriv_h
+    if h_prime is None:
+        raise ValueError(
+            f"{type(problem).__name__} has no dir_deriv_h oracle, which the "
+            "d-stationarity test needs"
+        )
     x = as_point(x, problem.dim)
     grad = problem.grad_g(x)
-    exact = problem.dir_deriv_h
-    h_x = problem.eval_h(x) if exact is None else 0.0
-    derivs: list[float] = []
-    for v in pss.directions:
-        if exact is not None:
-            h_prime = float(exact(x, v))
-        else:
-            h_prime = (problem.eval_h(x + fd_step * v) - h_x) / fd_step
-        derivs.append(float(np.dot(grad, v)) - h_prime)
+    derivs = [float(np.dot(grad, v)) - float(h_prime(x, v)) for v in pss.directions]
     min_deriv = min(derivs)
     return StationarityReport(
         x, pss.kind, pss.directions, derivs, min_deriv, min_deriv >= -tol

@@ -39,6 +39,8 @@ class PositiveSpanningSet:
         dirs = np.asarray(self.directions, dtype=float)
         if dirs.ndim != 2 or dirs.shape[1] != self.dim:
             raise ValueError(f"directions must be (r, {self.dim}), got {dirs.shape}")
+        if not np.all(np.isfinite(dirs)):
+            raise ValueError("directions must all be finite")
         norms = np.linalg.norm(dirs, axis=1)
         if np.any(norms == 0.0):
             raise ValueError("directions must all be nonzero")

@@ -32,6 +32,9 @@ def test_classify_rejects_close_references():
 def test_classify_rejects_bad_tol():
     with pytest.raises(ValueError):
         classify_limit_point(np.zeros(2), REFS, tol=0.0)
+    # NaN passes the sign check and would leave every point unclassified.
+    with pytest.raises(ValueError, match="tol must be positive"):
+        classify_limit_point(np.array([-1.0, -1.0]), REFS, tol=float("nan"))
 
 
 def test_spec_validation(small_blobs):

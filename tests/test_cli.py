@@ -382,38 +382,28 @@ def test_gen_rejects_a_box_that_is_not_2d(tmp_path, capsys, box):
 # ------------------------------------------------------------ seed plumbing
 
 
-def test_env_seed_used_when_flag_absent(tmp_path, monkeypatch):
-    out_env = tmp_path / "env.json"
-    out_flag = tmp_path / "flag.json"
+def test_seed_defaults_to_zero_and_ignores_the_environment(tmp_path, monkeypatch):
+    """``--seed`` is the one way to set the seed; an old ``DCBOOST_SEED``
+    in the environment changes nothing."""
     monkeypatch.setenv("DCBOOST_SEED", "7")
-    run_cli("solve", "--problem", "example2d", "--algo", "dca", "--json", str(out_env))
-    monkeypatch.delenv("DCBOOST_SEED")
-    run_cli(
-        "solve", "--problem", "example2d", "--algo", "dca", "--seed", "7",
-        "--json", str(out_flag),
-    )
-    assert json.loads(out_env.read_text())["x0"] == json.loads(out_flag.read_text())["x0"]
+    outs = [tmp_path / "default.json", tmp_path / "zero.json"]
+    for out, extra in zip(outs, ([], ["--seed", "0"])):
+        assert run_cli("solve", "--problem", "example2d", "--algo", "dca", *extra,
+                       "--json", str(out)) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-def test_flag_wins_over_env(tmp_path, monkeypatch):
-    out = tmp_path / "o.json"
-    monkeypatch.setenv("DCBOOST_SEED", "7")
-    run_cli(
-        "solve", "--problem", "example2d", "--algo", "dca", "--seed", "9",
-        "--json", str(out),
-    )
-    monkeypatch.delenv("DCBOOST_SEED")
-    out9 = tmp_path / "o9.json"
-    run_cli(
-        "solve", "--problem", "example2d", "--algo", "dca", "--seed", "9",
-        "--json", str(out9),
-    )
-    assert json.loads(out.read_text())["x0"] == json.loads(out9.read_text())["x0"]
-
-
-def test_bad_env_seed_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("DCBOOST_SEED", "abc")
-    assert run_cli("solve", "--problem", "example2d", "--algo", "dca") == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-v", "solve", "--problem", "example2d", "--algo", "dca"],
+        ["check", "--problem", "example2d", "--point=-1,-1", "--fd-step", "1e-7"],
+    ],
+    ids=["verbose", "fd-step"],
+)
+def test_removed_options_are_usage_errors(argv, capsys):
+    assert run_cli(*argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ------------------------------------------------------- solver parameters

@@ -86,6 +86,12 @@ def test_params_reject_non_finite(name, value):
         SolverParams(**{name: value})
 
 
+@pytest.mark.parametrize("value", [2.5, 1e3, float("inf"), float("nan")])
+def test_params_reject_a_max_iter_that_is_not_an_integer(value):
+    with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+        SolverParams(max_iter=value)
+
+
 def test_as_point_checks():
     with pytest.raises(ValueError):
         as_point([1.0, float("nan")])

@@ -88,6 +88,14 @@ def test_load_csv_reports_bad_line(tmp_path):
         load_points_csv(f)
 
 
+@pytest.mark.parametrize("line", ["nan,3", "1e400,3", "3,-inf"])
+def test_load_csv_names_a_non_finite_line(tmp_path, line):
+    f = tmp_path / "pts.csv"
+    f.write_text(f"1,2\n{line}\n")
+    with pytest.raises(ValueError, match=f"line 2: '{line}' is not finite"):
+        load_points_csv(f)
+
+
 def test_load_csv_rejects_wrong_arity(tmp_path):
     f = tmp_path / "pts.csv"
     f.write_text("1,2\n3,4,5\n")
@@ -105,6 +113,9 @@ def test_load_csv_rejects_empty(tmp_path):
 def test_constructor_validation(small_blobs):
     with pytest.raises(ValueError):
         MsscProblem(small_blobs, k=0)
+    for k in (2.5, 2.0):  # 2.5 would run with k=2
+        with pytest.raises(ValueError, match="k must be an integer"):
+            MsscProblem(small_blobs, k)
     with pytest.raises(ValueError):
         MsscProblem(small_blobs, k=2, rho=0.0)
     # NaN passes the sign check, so finiteness is checked on its own.

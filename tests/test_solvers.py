@@ -359,16 +359,23 @@ def test_stationarity_values_at_the_four_points(example2d):
     assert at_saddle.min_deriv == pytest.approx(-2.0, abs=1e-12)
 
 
-def test_stationarity_with_finite_difference_fallback(example2d):
+def test_stationarity_needs_the_exact_oracle():
+    """Only an exact h'(x; v) certifies; the solvers still run without it."""
+
     class NoExact(Example2dProblem):
         dir_deriv_h = None
 
     prob = NoExact()
-    ok = check_d_stationarity(prob, np.array([-1.0, -1.0]), D1, tol=1e-5)
-    assert ok.is_d_stationary
-    bad = check_d_stationarity(prob, np.array([0.0, 0.0]), D1, tol=1e-5)
-    assert not bad.is_d_stationary
-    assert bad.min_deriv == pytest.approx(-2.0, abs=1e-5)
+    with pytest.raises(ValueError, match="dir_deriv_h"):
+        check_d_stationarity(prob, np.array([-1.0, -1.0]), D1)
+    res = run_bdca_plus(prob, np.array([0.3, 0.7]))
+    assert res.termination == Termination.D_STATIONARY_CERTIFIED
+
+
+def test_stationarity_rejects_a_spanning_set_of_another_dimension(example2d, mssc3):
+    for problem, pss in ((example2d, make_d1(3)), (mssc3, make_d1(2))):
+        with pytest.raises(ValueError, match="spanning set dimension"):
+            check_d_stationarity(problem, np.zeros(problem.dim), pss)
 
 
 def test_stationarity_works_with_other_spanning_sets(example2d):
@@ -393,9 +400,7 @@ def test_stationarity_report_round_trip(example2d):
 def test_stationarity_validation(example2d):
     with pytest.raises(ValueError):
         check_d_stationarity(example2d, np.zeros(2), D1, tol=-1.0)
-    with pytest.raises(ValueError):
-        check_d_stationarity(example2d, np.zeros(2), D1, fd_step=0.0)
-    # NaN passes the sign checks, so finiteness is checked on its own.
-    for kwargs in ({"tol": float("nan")}, {"tol": float("inf")}, {"fd_step": float("nan")}):
+    # NaN passes the sign check, so finiteness is checked on its own.
+    for tol in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
-            check_d_stationarity(example2d, np.array([-1.0, -1.0]), D1, **kwargs)
+            check_d_stationarity(example2d, np.array([-1.0, -1.0]), D1, tol=tol)

@@ -87,6 +87,9 @@ def test_constructor_validation():
         PositiveSpanningSet(3, np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError):
         make_d1(0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            PositiveSpanningSet(2, np.array([[bad, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
     with pytest.raises(ValueError):
         check_positive_spanning(make_d1(2), 0, rng_seed=1)
 
