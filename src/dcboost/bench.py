@@ -23,7 +23,7 @@ from dcboost.core import DcProblem, Record, RunResult, SolverParams, Termination
 from dcboost.problems.example2d import CRITICAL_POINTS, Example2dProblem
 from dcboost.problems.mssc import ClusterData, MsscProblem
 from dcboost.solvers import _norm, run_bdca, run_bdca_plus, run_dca
-from dcboost.spanning import PositiveSpanningSet, make_d1, make_d2, make_d3
+from dcboost.spanning import PositiveSpanningSet, make_pss
 
 __all__ = [
     "ALGORITHMS",
@@ -32,24 +32,14 @@ __all__ = [
     "PairedStats",
     "MultiStartReport",
     "classify_limit_point",
+    "draw_start",
     "run_algorithm",
     "run_table1",
     "run_pairwise_mssc",
-    "make_pss",
 ]
 
 ALGORITHMS = ("DCA", "BDCA", "BDCA+")
 UNCLASSIFIED = "unclassified"
-
-_PSS_FACTORIES = {"d1": make_d1, "d2": make_d2, "d3": make_d3}
-
-
-def make_pss(kind: str, dim: int) -> PositiveSpanningSet:
-    """Build one of the named spanning sets ("d1", "d2", "d3")."""
-    try:
-        return _PSS_FACTORIES[kind](dim)
-    except KeyError:
-        raise ValueError(f"unknown spanning set kind {kind!r}") from None
 
 
 @dataclass
@@ -154,6 +144,12 @@ def _run_chunks(task, n_starts: int, workers: int) -> list[dict]:
     return results
 
 
+def draw_start(problem: DcProblem, seed: int, index: int) -> np.ndarray:
+    """Start ``index`` of the multi-start stream at ``seed``: drawn by
+    ``problem.sample_start`` from the substream keyed by ``(seed, index)``."""
+    return problem.sample_start(np.random.default_rng((seed, index)))
+
+
 def run_algorithm(
     algo: str,
     problem: DcProblem,
@@ -183,12 +179,12 @@ def _run_starts(
     refs: Optional[Sequence[tuple[str, np.ndarray]]] = None,
 ) -> list[dict]:
     """Per start index in ``bounds``, one summary per algorithm, all from
-    the start ``problem.sample_start`` draws from the index's substream;
-    end points are labelled against ``refs`` when given."""
+    the index's :func:`draw_start`; end points are labelled against
+    ``refs`` when given."""
     pss = make_pss(pss_kind, problem.dim)
     rows = []
     for i in range(*bounds):
-        x0 = problem.sample_start(np.random.default_rng((seed, i)))
+        x0 = draw_start(problem, seed, i)
         per: dict[str, StartSummary] = {}
         for algo in algorithms:
             res = run_algorithm(algo, problem, x0, pss, params)
@@ -205,6 +201,16 @@ def _run_starts(
             )
         rows.append(per)
     return rows
+
+
+def _multistart_params(n_starts: int, workers: int, params: Optional[SolverParams]) -> SolverParams:
+    """Check the start and worker counts; ``params`` or the defaults, made
+    once for all runs."""
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    return SolverParams() if params is None else params
 
 
 def _table1_chunk(
@@ -231,12 +237,7 @@ def run_table1(
     each run converged to (tolerance 1e-3; anything else lands in the
     "unclassified" bucket).
     """
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if params is None:
-        params = SolverParams()
+    params = _multistart_params(n_starts, workers, params)
     task = partial(_table1_chunk, seed=seed, params=params, pss_kind=pss_kind)
     rows = _run_chunks(task, n_starts, workers)
     labels = [label for label, _ in CRITICAL_POINTS] + [UNCLASSIFIED]
@@ -279,12 +280,7 @@ def run_pairwise_mssc(
     are sorted by objective gap ``phi_dca - phi_bdca_plus`` descending.
     ``rho`` defaults to ``1/(n*k)``.
     """
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if params is None:
-        params = SolverParams()
+    params = _multistart_params(n_starts, workers, params)
     task = partial(
         _pairwise_chunk,
         problem=MsscProblem(data, k, rho),

@@ -24,11 +24,12 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from dcboost.bench import ALGORITHMS, make_pss, run_algorithm, run_pairwise_mssc, run_table1
+from dcboost.bench import ALGORITHMS, PairRow, draw_start, run_algorithm, run_pairwise_mssc, run_table1
 from dcboost.core import ProblemDefinitionError, SolverParams
-from dcboost.problems.example2d import CRITICAL_POINTS, Example2dProblem
+from dcboost.problems.example2d import Example2dProblem
 from dcboost.problems.mssc import ClusterData, MsscProblem, generate_blobs, load_points_csv
 from dcboost.solvers import check_d_stationarity
+from dcboost.spanning import PSS_KINDS, make_pss
 
 _EXIT_OK = 0
 _EXIT_FAILURE = 1
@@ -90,14 +91,12 @@ def _parse_box(text: str) -> tuple[tuple, tuple]:
 
 
 def _parse_blob_spec(text: str) -> tuple[int, int]:
+    """``--blobs`` as (N, P); ``generate_blobs`` checks they are positive."""
     try:
         a, b = text.lower().split("x")
-        n_blobs, per = int(a), int(b)
+        return int(a), int(b)
     except ValueError:
         raise ValueError(f"--blobs expects 'NxP' (e.g. 4x200), got {text!r}")
-    if n_blobs < 1 or per < 1:
-        raise ValueError("--blobs counts must be positive")
-    return n_blobs, per
 
 
 # One --flag per SolverParams field (``mu_bar`` -> ``--mu-bar``); the
@@ -124,18 +123,28 @@ def _params_from_args(args) -> SolverParams:
     return SolverParams(**overrides)
 
 
-def _add_mssc_flags(p: argparse.ArgumentParser) -> None:
-    grp = p.add_argument_group("clustering problem")
-    grp.add_argument("--data", help="CSV file with one 'x,y' point per line")
-    grp.add_argument("--blobs", help="synthetic data spec 'NxP' (N blobs, P points each)")
-    grp.add_argument("--k", type=int, help="number of centroids")
-    grp.add_argument("--rho", type=float, default=None, help="strong convexity modulus (default 1/(n*k))")
+def _add_blob_flags(grp, required: bool) -> None:
+    grp.add_argument("--blobs", required=required, help="spec 'NxP' (N blobs, P points each)")
     grp.add_argument("--spread", type=float, default=1.0, help="blob standard deviation")
     grp.add_argument(
         "--box",
         default="-10,-10,10,10",
-        help="blob-center box as xmin,ymin,xmax,ymax",
+        help="blob-center box: the lower corner, then the upper corner, in any "
+        "even number of coordinates (xmin,ymin,xmax,ymax in 2-D; gen needs 2-D)",
     )
+
+
+def _blobs_from_args(args, seed: int) -> ClusterData:
+    n_blobs, per = _parse_blob_spec(args.blobs)
+    return generate_blobs(n_blobs, per, spread=args.spread, box=_parse_box(args.box), seed=seed)
+
+
+def _add_mssc_flags(p: argparse.ArgumentParser) -> None:
+    grp = p.add_argument_group("clustering problem")
+    grp.add_argument("--data", help="CSV file with one 'x,y' point per line")
+    grp.add_argument("--k", type=int, help="number of centroids")
+    grp.add_argument("--rho", type=float, default=None, help="strong convexity modulus (default 1/(n*k))")
+    _add_blob_flags(grp, required=False)
     grp.add_argument("--blob-seed", dest="blob_seed", type=int, default=0)
 
 
@@ -146,14 +155,7 @@ def _load_cluster_data(args) -> ClusterData:
     if args.data:
         data = load_points_csv(args.data)
     elif args.blobs:
-        n_blobs, per = _parse_blob_spec(args.blobs)
-        data = generate_blobs(
-            n_blobs,
-            per,
-            spread=args.spread,
-            box=_parse_box(args.box),
-            seed=args.blob_seed,
-        )
+        data = _blobs_from_args(args, args.blob_seed)
     else:
         raise ValueError("clustering needs --data or --blobs")
     if args.k is None:
@@ -173,7 +175,7 @@ def cmd_solve(args) -> int:
     if args.x0:
         x0 = _parse_point(args.x0, "--x0", problem.dim)
     else:
-        x0 = problem.sample_start(np.random.default_rng((args.seed, 0)))
+        x0 = draw_start(problem, args.seed, 0)
     pss = make_pss(args.pss, problem.dim)
     result = run_algorithm(args.algo.upper(), problem, x0, pss, params)
     payload = {
@@ -225,10 +227,10 @@ def cmd_table1(args) -> int:
     report = run_table1(
         args.starts, args.seed, params, workers=args.workers, pss_kind=args.pss
     )
-    labels = [label for label, _ in CRITICAL_POINTS] + ["unclassified"]
-    rows: list[list] = [["algorithm"] + labels]
-    for algo in ALGORITHMS:
-        rows.append([algo] + [report.basin_counts[algo][label] for label in labels])
+    # Keyed by algorithm, then by label, both in column order.
+    counts = report.basin_counts
+    rows: list[list] = [["algorithm", *counts[ALGORITHMS[0]]]]
+    rows += [[algo, *by_label.values()] for algo, by_label in counts.items()]
     _write_csv(args.csv, rows)
     _write_json(args.json, report.to_dict(include_timings=args.timings))
     return _EXIT_OK
@@ -247,19 +249,10 @@ def cmd_cluster(args) -> int:
         pss_kind=args.pss,
         rho=args.rho,
     )
-    rows: list[list] = [
-        [
-            "instance",
-            "phi_dca",
-            "phi_bdcaplus",
-            "gap",
-            "iters_dca",
-            "iters_bdcaplus",
-            "dfo_invocations",
-            "time_ratio",
-        ]
-    ]
-    # One column per PairRow field, in field order.
+    # One column per PairRow field, in field order; the header spells
+    # "bdca_plus" as "bdcaplus".
+    fields = dataclasses.fields(PairRow)
+    rows: list[list] = [[f.name.replace("bdca_plus", "bdcaplus") for f in fields]]
     rows += [list(p.to_dict(args.timings).values()) for p in report.pairs]
     _write_csv(args.csv, rows)
     stats = report.paired_stats
@@ -278,18 +271,11 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    n_blobs, per = _parse_blob_spec(args.blobs)
-    box = _parse_box(args.box)
-    if len(box[0]) != 2:  # the file holds 'x,y' lines
+    data = _blobs_from_args(args, args.seed)
+    if data.dim_space != 2:  # the file holds 'x,y' lines
         raise ValueError("gen needs a 2-D --box: xmin,ymin,xmax,ymax")
-    data = generate_blobs(n_blobs, per, spread=args.spread, box=box, seed=args.seed)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            f"# blobs={args.blobs} spread={_fmt(args.spread)} "
-            f"box={args.box} seed={args.seed}\n"
-        )
-        for p in data.points:
-            fh.write(f"{_fmt(p[0])},{_fmt(p[1])}\n")
+    header = f"# blobs={args.blobs} spread={_fmt(args.spread)} box={args.box} seed={args.seed}"
+    _write_csv(args.out, [[header], *data.points])
     return _EXIT_OK
 
 
@@ -302,10 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run one solver from one start")
     p_solve.add_argument("--problem", choices=["example2d", "mssc"], required=True)
-    p_solve.add_argument("--algo", choices=["dca", "bdca", "bdca+"], required=True)
+    p_solve.add_argument("--algo", choices=[a.lower() for a in ALGORITHMS], required=True)
     p_solve.add_argument("--x0", help="comma-separated start (e.g. --x0=0,1)")
     p_solve.add_argument("--seed", type=int, default=0, help="random start seed (used when --x0 is absent)")
-    p_solve.add_argument("--pss", choices=["d1", "d2", "d3"], default="d1")
+    p_solve.add_argument("--pss", choices=PSS_KINDS, default="d1")
     p_solve.add_argument("--json", default=None, help="result path (default: stdout)")
     p_solve.add_argument("--trace-csv", dest="trace_csv", default=None, help="per-iteration CSV path")
     p_solve.add_argument("--timings", action="store_true", help="include measured wall time (breaks byte reproducibility)")
@@ -316,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="d-stationarity test at a point")
     p_check.add_argument("--problem", choices=["example2d", "mssc"], required=True)
     p_check.add_argument("--point", required=True, help="comma-separated coordinates (e.g. --point=-1,-1)")
-    p_check.add_argument("--pss", choices=["d1", "d2", "d3"], default="d1")
+    p_check.add_argument("--pss", choices=PSS_KINDS, default="d1")
     p_check.add_argument("--tol", type=float, default=1e-6)
     p_check.add_argument("--json", default=None, help="report path (default: stdout)")
     _add_mssc_flags(p_check)
@@ -325,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_t1 = sub.add_parser("table1", help="basin counts on the 2-D test problem")
     p_t1.add_argument("--starts", type=int, required=True)
     p_t1.add_argument("--seed", type=int, default=0)
-    p_t1.add_argument("--pss", choices=["d1", "d2", "d3"], default="d1")
+    p_t1.add_argument("--pss", choices=PSS_KINDS, default="d1")
     p_t1.add_argument("--csv", default="table1_counts.csv")
     p_t1.add_argument("--json", default="table1_report.json")
     p_t1.add_argument("--workers", type=int, default=1)
@@ -336,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl = sub.add_parser("cluster", help="paired DCA vs escape-step comparison on clustering data")
     p_cl.add_argument("--starts", type=int, default=50)
     p_cl.add_argument("--seed", type=int, default=0)
-    p_cl.add_argument("--pss", choices=["d1", "d2", "d3"], default="d1")
+    p_cl.add_argument("--pss", choices=PSS_KINDS, default="d1")
     p_cl.add_argument("--csv", default="cluster_pairs.csv")
     p_cl.add_argument("--json", default="cluster_summary.json")
     p_cl.add_argument("--workers", type=int, default=1)
@@ -346,9 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl.set_defaults(func=cmd_cluster)
 
     p_gen = sub.add_parser("gen", help="write synthetic blob data as CSV")
-    p_gen.add_argument("--blobs", required=True, help="spec 'NxP' (N blobs, P points each)")
-    p_gen.add_argument("--spread", type=float, default=1.0)
-    p_gen.add_argument("--box", default="-10,-10,10,10")
+    _add_blob_flags(p_gen, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)

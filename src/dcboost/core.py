@@ -134,10 +134,17 @@ class SolverParams:
             raise ValueError("eta must be nonnegative")
         if self.tau < 0.0:
             raise ValueError("tau must be nonnegative")
+        # The first direct-search radius: at 0 the scan "certifies" any
+        # point, at inf every probe overflows (plain floats: no warning).
+        first_mu = float(self.eta) * float(self.mu_bar) + float(self.tau)
+        if not 0.0 < first_mu < math.inf:
+            raise ValueError("eta*mu_bar + tau must be positive and finite")
         if self.lambda_bar1 <= 0.0:
             raise ValueError("lambda_bar1 must be positive")
-        # range() in the driver loop takes integers only, not 1e3 or inf.
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        # range() in the driver loop takes integers only, not 1e3 or inf;
+        # True is an int, but not a count.
+        n = self.max_iter
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError("max_iter must be a positive integer")
 
 

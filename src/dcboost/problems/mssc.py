@@ -252,7 +252,7 @@ class MsscProblem(DcProblem):
     """
 
     def __init__(self, data: ClusterData, k: int, rho: float | None = None):
-        if not isinstance(k, (int, np.integer)) or k < 1:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
             raise ValueError("k must be an integer >= 1")
         self.data = data
         self.k = int(k)

@@ -338,7 +338,6 @@ def _drive(
     records: list[IterationRecord] = []
     dfo_invocations = 0
     termination = Termination.MAX_ITERATIONS
-    final, final_phi = x, phi_x
     t0 = time.perf_counter()
     for k in range(params.max_iter):
         y, d, u, phi_y, dd = _dc_step(problem, x, phi_x)
@@ -358,11 +357,10 @@ def _drive(
             )
             x = y if lam == 0.0 else y + lam * d
             phi_x = phi_next
-            final, final_phi = x, phi_x
             continue
         if pss is None:
             records.append(IterationRecord(k, x, y, d, phi_x, phi_y, 0.0, 0.0))
-            final, final_phi = y, phi_y
+            x, phi_x = y, phi_y
             termination = Termination.CRITICAL_POINT
             break
         dfo_invocations += 1
@@ -371,14 +369,13 @@ def _drive(
             IterationRecord(k, x, y, d, phi_x, phi_y, 0.0, 0.0, outcome.event)
         )
         if not outcome.escaped:
-            final, final_phi = y, phi_y
+            x, phi_x = y, phi_y
             termination = Termination.D_STATIONARY_CERTIFIED
             break
         x = outcome.x_next
         phi_x = outcome.phi_next
-        final, final_phi = x, phi_x
     wall = time.perf_counter() - t0
-    return RunResult(final, final_phi, records, termination, dfo_invocations, wall)
+    return RunResult(x, phi_x, records, termination, dfo_invocations, wall)
 
 
 def _require_same_dim(problem: DcProblem, pss: PositiveSpanningSet) -> None:

@@ -19,6 +19,8 @@ __all__ = [
     "make_d1",
     "make_d2",
     "make_d3",
+    "PSS_KINDS",
+    "make_pss",
     "check_positive_spanning",
 ]
 
@@ -39,9 +41,10 @@ class PositiveSpanningSet:
         dirs = np.asarray(self.directions, dtype=float)
         if dirs.ndim != 2 or dirs.shape[1] != self.dim:
             raise ValueError(f"directions must be (r, {self.dim}), got {dirs.shape}")
-        if not np.all(np.isfinite(dirs)):
-            raise ValueError("directions must all be finite")
-        norms = np.linalg.norm(dirs, axis=1)
+        with np.errstate(over="ignore"):  # finite 1e308 has norm inf
+            norms = np.linalg.norm(dirs, axis=1)
+        if not np.all(np.isfinite(norms)):
+            raise ValueError("directions must all be finite, with finite norms")
         if np.any(norms == 0.0):
             raise ValueError("directions must all be nonzero")
         dirs.flags.writeable = False
@@ -93,6 +96,18 @@ def make_d3(m: int) -> PositiveSpanningSet:
     dirs = centered @ q
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return PositiveSpanningSet(m, dirs, "d3")
+
+
+_FACTORIES = {"d1": make_d1, "d2": make_d2, "d3": make_d3}
+PSS_KINDS = tuple(_FACTORIES)
+
+
+def make_pss(kind: str, dim: int) -> PositiveSpanningSet:
+    """Build the spanning set named ``kind`` (one of :data:`PSS_KINDS`)."""
+    try:
+        return _FACTORIES[kind](dim)
+    except KeyError:
+        raise ValueError(f"unknown spanning set kind {kind!r}") from None
 
 
 def check_positive_spanning(

@@ -5,10 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dcboost.bench import MultiStartReport, run_table1
+from dcboost.bench import MultiStartReport, run_pairwise_mssc, run_table1
 from dcboost.cli import _params_from_args, _write_json, build_parser, main
 from dcboost.core import SolverParams
-from dcboost.problems.mssc import load_points_csv
+from dcboost.problems.mssc import generate_blobs, load_points_csv
 from dcboost.solvers import StationarityReport
 
 
@@ -142,6 +142,17 @@ def test_solve_non_finite_parameter_is_usage_error(capsys, argv, name):
     code = run_cli("solve", *argv)
     assert code == 2
     assert f"{name} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--eta", "0", "--tau", "0"], ["--mu-bar", "1e308"]], ids=["zero", "overflow"]
+)
+def test_solve_first_escape_radius_outside_the_open_range_is_usage_error(capsys, flags):
+    # Unchecked, radius 0 certifies (0, -1), which is not d-stationary,
+    # and radius inf is blamed on the oracles (exit 1).
+    code = run_cli("solve", "--problem", "example2d", "--algo", "bdca+", "--x0=0,1", *flags)
+    assert code == 2
+    assert "eta*mu_bar + tau" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ check
@@ -380,6 +391,24 @@ def test_gen_rejects_a_box_that_is_not_2d(tmp_path, capsys, box):
 
 
 # ------------------------------------------------------------ seed plumbing
+
+
+def test_solve_without_x0_uses_table1_start_zero(tmp_path):
+    solve, report = tmp_path / "run.json", tmp_path / "report.json"
+    assert run_cli("solve", "--problem", "example2d", "--algo", "dca", "--seed", "5",
+                   "--json", str(solve)) == 0
+    assert run_cli("table1", "--starts", "1", "--seed", "5", "--csv",
+                   str(tmp_path / "counts.csv"), "--json", str(report)) == 0
+    x0 = json.loads(report.read_text())["runs"]["DCA"][0]["x0"]
+    assert json.loads(solve.read_text())["x0"] == x0
+
+
+def test_solve_without_x0_uses_cluster_start_zero(tmp_path):
+    out = tmp_path / "run.json"
+    assert run_cli("solve", "--problem", "mssc", "--algo", "dca", "--blobs", "2x20",
+                   "--k", "3", "--seed", "5", "--json", str(out)) == 0
+    report = run_pairwise_mssc(generate_blobs(2, 20), 3, n_starts=1, seed=5)
+    assert json.loads(out.read_text())["x0"] == report.runs["DCA"][0].x0.tolist()
 
 
 def test_seed_defaults_to_zero_and_ignores_the_environment(tmp_path, monkeypatch):

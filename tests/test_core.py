@@ -86,10 +86,22 @@ def test_params_reject_non_finite(name, value):
         SolverParams(**{name: value})
 
 
-@pytest.mark.parametrize("value", [2.5, 1e3, float("inf"), float("nan")])
+@pytest.mark.parametrize("value", [2.5, 1e3, float("inf"), float("nan"), True])
 def test_params_reject_a_max_iter_that_is_not_an_integer(value):
     with pytest.raises(ValueError, match="max_iter must be a positive integer"):
         SolverParams(max_iter=value)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"eta": 0.0, "tau": 0.0}, {"mu_bar": 1e308}],
+    ids=["zero", "overflow"],
+)
+def test_params_reject_a_first_escape_radius_outside_the_open_range(kwargs):
+    # At radius 0 every probe is the stall point and any point is
+    # "certified"; at radius inf every probe overflows.
+    with pytest.raises(ValueError, match=r"eta\*mu_bar \+ tau must be positive and finite"):
+        SolverParams(**kwargs)
 
 
 def test_as_point_checks():

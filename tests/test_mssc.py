@@ -113,7 +113,7 @@ def test_load_csv_rejects_empty(tmp_path):
 def test_constructor_validation(small_blobs):
     with pytest.raises(ValueError):
         MsscProblem(small_blobs, k=0)
-    for k in (2.5, 2.0):  # 2.5 would run with k=2
+    for k in (2.5, 2.0, True):  # 2.5 would run with k=2, True with k=1
         with pytest.raises(ValueError, match="k must be an integer"):
             MsscProblem(small_blobs, k)
     with pytest.raises(ValueError):

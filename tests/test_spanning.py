@@ -87,7 +87,8 @@ def test_constructor_validation():
         PositiveSpanningSet(3, np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError):
         make_d1(0)
-    for bad in (float("inf"), float("nan")):
+    # 1e308 is finite, but its norm overflows.
+    for bad in (float("inf"), float("nan"), 1e308):
         with pytest.raises(ValueError, match="finite"):
             PositiveSpanningSet(2, np.array([[bad, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
     with pytest.raises(ValueError):
