@@ -21,7 +21,6 @@ import numpy as np
 
 from dcboost.core import DcProblem, Record, RunResult, SolverParams, Termination, timing
 from dcboost.problems.example2d import CRITICAL_POINTS, Example2dProblem
-from dcboost.problems.mssc import ClusterData, MsscProblem
 from dcboost.solvers import _norm, run_bdca, run_bdca_plus, run_dca
 from dcboost.spanning import PositiveSpanningSet, make_pss
 
@@ -255,7 +254,7 @@ def run_table1(
 
 def _pairwise_chunk(
     bounds: tuple[int, int],
-    problem: MsscProblem,
+    problem: DcProblem,
     seed: int,
     params: SolverParams,
     pss_kind: str,
@@ -264,29 +263,23 @@ def _pairwise_chunk(
 
 
 def run_pairwise_mssc(
-    data: ClusterData,
-    k: int,
+    problem: DcProblem,
     n_starts: int,
     seed: int,
     params: Optional[SolverParams] = None,
     workers: int = 1,
     pss_kind: str = "d1",
-    rho: Optional[float] = None,
 ) -> MultiStartReport:
-    """Paired plain-vs-escape comparison on a clustering instance.
+    """Paired DCA vs BDCA+ comparison on any problem with ``sample_start``.
 
-    Both algorithms start from the same random centroid configuration
-    (uniform in the data bounding box, one substream per start).  Rows
-    are sorted by objective gap ``phi_dca - phi_bdca_plus`` descending.
-    ``rho`` defaults to ``1/(n*k)``.
+    Both algorithms run from the same start, start ``i`` being
+    :func:`draw_start` ``(problem, seed, i)``.  Rows are sorted by
+    objective gap ``phi_dca - phi_bdca_plus`` descending.  With
+    ``workers > 1`` each chunk of starts gets a pickled copy of ``problem``.
     """
     params = _multistart_params(n_starts, workers, params)
     task = partial(
-        _pairwise_chunk,
-        problem=MsscProblem(data, k, rho),
-        seed=seed,
-        params=params,
-        pss_kind=pss_kind,
+        _pairwise_chunk, problem=problem, seed=seed, params=params, pss_kind=pss_kind
     )
     rows = _run_chunks(task, n_starts, workers)
     runs: dict[str, list[StartSummary]] = {"DCA": [], "BDCA+": []}

@@ -148,8 +148,11 @@ def _add_mssc_flags(p: argparse.ArgumentParser) -> None:
     grp.add_argument("--blob-seed", dest="blob_seed", type=int, default=0)
 
 
-def _load_cluster_data(args) -> ClusterData:
-    """Clustering data from ``--data`` or ``--blobs``; also requires ``--k``."""
+def _load_cluster_data(args) -> MsscProblem:
+    """The clustering problem: ``--k`` centroids and ``--rho`` over the
+    data from ``--data`` or ``--blobs``."""
+    if args.k is None:
+        raise ValueError("--k is required for the clustering problem")
     if args.data and args.blobs:
         raise ValueError("use either --data or --blobs, not both")
     if args.data:
@@ -158,15 +161,13 @@ def _load_cluster_data(args) -> ClusterData:
         data = _blobs_from_args(args, args.blob_seed)
     else:
         raise ValueError("clustering needs --data or --blobs")
-    if args.k is None:
-        raise ValueError("--k is required for the clustering problem")
-    return data
+    return MsscProblem(data, args.k, args.rho)
 
 
 def _build_problem(args):
     if args.problem == "example2d":
         return Example2dProblem()
-    return MsscProblem(_load_cluster_data(args), args.k, args.rho)
+    return _load_cluster_data(args)
 
 
 def cmd_solve(args) -> int:
@@ -238,16 +239,13 @@ def cmd_table1(args) -> int:
 
 def cmd_cluster(args) -> int:
     params = _params_from_args(args)
-    data = _load_cluster_data(args)
     report = run_pairwise_mssc(
-        data,
-        args.k,
+        _load_cluster_data(args),
         args.starts,
         args.seed,
         params,
         workers=args.workers,
         pss_kind=args.pss,
-        rho=args.rho,
     )
     # One column per PairRow field, in field order; the header spells
     # "bdca_plus" as "bdcaplus".

@@ -316,6 +316,11 @@ class DcProblem(ABC):
     ``g(x) - <u, x>``, i.e. the point with ``grad_g(y) = u``.  Solvers
     verify the residual ``||grad_g(y) - u|| <= 1e-8 * (1 + ||u||)`` at
     every step and abort with :class:`ProblemDefinitionError` otherwise.
+
+    ``sample_start(rng)``, a random start drawn from the numpy
+    ``Generator`` ``rng``, is optional: the solvers do not need it, but
+    ``bench.draw_start``, and through it the multi-start harness and
+    ``solve`` without ``--x0``, does.
     """
 
     dim: int

@@ -30,30 +30,18 @@ CRITICAL_POINTS: list[tuple[str, tuple[float, float]]] = [
 
 
 class Example2dProblem(DcProblem):
-    """The 2-D test objective above, with a configurable subgradient
-    convention at the kinks.
+    """The 2-D test objective above.
 
-    ``sign_at_zero`` is the value the subgradient selection assigns to
-    ``d|t|/dt`` at t = 0 (any value in [-1, 1] is a valid selection).
-    The default +1 keeps the iteration from (0, 1) on the coordinate
-    axis; with 0 the same start drifts into the open quadrant, so
-    trajectories through the kinks are sensitive to this choice.
+    At a kink the subgradient selection takes ``d|t|/dt = +1`` at t = 0,
+    which keeps the iteration from (0, 1) on the coordinate axis.
     """
 
     dim = 2
     rho = 1.0
 
-    def __init__(self, sign_at_zero: float = 1.0):
-        if not -1.0 <= sign_at_zero <= 1.0:
-            raise ValueError("sign_at_zero must lie in [-1, 1]")
-        self.sign_at_zero = float(sign_at_zero)
-
-    def _sign(self, t: float) -> float:
-        if t > 0.0:
-            return 1.0
-        if t < 0.0:
-            return -1.0
-        return self.sign_at_zero
+    @staticmethod
+    def _sign(t: float) -> float:
+        return -1.0 if t < 0.0 else 1.0
 
     def eval_g(self, x: Point) -> float:
         a, b = x.tolist()

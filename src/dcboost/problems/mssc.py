@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -37,10 +37,12 @@ __all__ = ["ClusterData", "MsscProblem", "generate_blobs", "load_points_csv"]
 
 @dataclass(frozen=True)
 class ClusterData:
-    """An immutable point cloud with its cached mean."""
+    """An immutable point cloud with its cached mean.  Both arrays are
+    read-only, in copies too: a pickled or copied instance is rebuilt from
+    its points."""
 
     points: np.ndarray
-    mean: np.ndarray = None  # type: ignore[assignment]
+    mean: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -53,6 +55,9 @@ class ClusterData:
         mean = pts.mean(axis=0)
         mean.flags.writeable = False
         object.__setattr__(self, "mean", mean)
+
+    def __reduce__(self):
+        return (ClusterData, (self.points,))
 
     @property
     def n(self) -> int:

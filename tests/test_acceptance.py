@@ -52,7 +52,7 @@ def paired_reports(paired_data):
     reports = {}
     for k in (4, 8):
         reports[k] = run_pairwise_mssc(
-            paired_data, k=k, n_starts=PAIRED_STARTS, seed=PAIRED_SEED
+            MsscProblem(paired_data, k), n_starts=PAIRED_STARTS, seed=PAIRED_SEED
         )
     return reports
 
@@ -98,7 +98,7 @@ def test_criterion_1_basin_counts(table1_report):
 
 
 def test_criterion_2_single_trajectories():
-    problem = Example2dProblem()  # sign_at_zero = +1
+    problem = Example2dProblem()  # d|t|/dt = +1 at the kink
     x0 = np.array([0.0, 1.0])
     plus = run_bdca_plus(problem, x0)
     plain = run_dca(problem, x0)

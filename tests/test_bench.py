@@ -5,7 +5,7 @@ import pytest
 
 import dcboost.bench
 
-from dcboost import MultiStartReport, classify_limit_point
+from dcboost import Example2dProblem, MsscProblem, MultiStartReport, classify_limit_point
 from dcboost.bench import UNCLASSIFIED, make_pss, run_algorithm, run_pairwise_mssc, run_table1
 from dcboost.cli import main
 from dcboost.core import Termination
@@ -39,10 +39,10 @@ def test_classify_rejects_bad_tol():
 
 def test_spec_validation(small_blobs):
     with pytest.raises(ValueError):
-        run_pairwise_mssc(small_blobs, k=2, n_starts=0, seed=0)
+        run_pairwise_mssc(MsscProblem(small_blobs, 2), n_starts=0, seed=0)
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            run_pairwise_mssc(small_blobs, k=2, n_starts=1, seed=0, workers=workers)
+            run_pairwise_mssc(MsscProblem(small_blobs, 2), n_starts=1, seed=0, workers=workers)
         with pytest.raises(ValueError, match="workers must be >= 1"):
             run_table1(1, seed=0, workers=workers)
 
@@ -99,7 +99,7 @@ def test_table1_different_seeds_differ():
 
 
 def test_pairwise_k1_has_zero_gaps(small_blobs):
-    rep = run_pairwise_mssc(small_blobs, k=1, n_starts=6, seed=5)
+    rep = run_pairwise_mssc(MsscProblem(small_blobs, 1), n_starts=6, seed=5)
     assert len(rep.pairs) == 6
     for p in rep.pairs:
         assert abs(p.gap) <= 1e-12
@@ -109,8 +109,22 @@ def test_pairwise_k1_has_zero_gaps(small_blobs):
     assert rep.paired_stats.win_fraction == 0.0
 
 
+def test_pairwise_runs_any_problem_from_the_table1_starts():
+    # The paired runner knows nothing of clustering: on the 2-D problem it
+    # runs DCA and BDCA+ from the same draw_start substreams as table1.
+    pairs = run_pairwise_mssc(Example2dProblem(), n_starts=5, seed=3)
+    basins = run_table1(5, seed=3)
+    for algo in ("DCA", "BDCA+"):
+        assert [s.index for s in pairs.runs[algo]] == list(range(5))
+        for sp, sb in zip(pairs.runs[algo], basins.runs[algo]):
+            assert np.array_equal(sp.x0, sb.x0)
+            assert np.array_equal(sp.final_point, sb.final_point)
+            assert sp.final_phi == sb.final_phi
+    assert len(pairs.pairs) == 5
+
+
 def test_pairwise_rows_sorted_by_gap(small_blobs):
-    rep = run_pairwise_mssc(small_blobs, k=3, n_starts=8, seed=2)
+    rep = run_pairwise_mssc(MsscProblem(small_blobs, 3), n_starts=8, seed=2)
     gaps = [p.gap for p in rep.pairs]
     assert gaps == sorted(gaps, reverse=True)
     assert all(p.gap >= -1e-12 for p in rep.pairs)
@@ -120,10 +134,10 @@ def test_pairwise_rows_sorted_by_gap(small_blobs):
 
 
 def test_pairwise_deterministic_and_worker_independent(small_blobs):
-    args = dict(k=2, n_starts=6, seed=4)
-    a = run_pairwise_mssc(small_blobs, **args)
-    b = run_pairwise_mssc(small_blobs, **args)
-    c = run_pairwise_mssc(small_blobs, **args, workers=2)
+    problem, args = MsscProblem(small_blobs, 2), dict(n_starts=6, seed=4)
+    a = run_pairwise_mssc(problem, **args)
+    b = run_pairwise_mssc(problem, **args)
+    c = run_pairwise_mssc(problem, **args, workers=2)
     for ra, rb, rc in zip(a.pairs, b.pairs, c.pairs):
         assert (ra.instance, ra.phi_dca, ra.phi_bdca_plus) == (
             rb.instance,
@@ -160,7 +174,7 @@ def test_pool_has_no_more_processes_than_chunks(monkeypatch):
 
 
 def test_report_round_trip(small_blobs):
-    rep = run_pairwise_mssc(small_blobs, k=2, n_starts=3, seed=1)
+    rep = run_pairwise_mssc(MsscProblem(small_blobs, 2), n_starts=3, seed=1)
     for include in (False, True):
         back = MultiStartReport.from_dict(rep.to_dict(include_timings=include))
         assert [p.gap for p in back.pairs] == [p.gap for p in rep.pairs]
@@ -186,7 +200,7 @@ def test_runners_called_by_module_name_once_per_start(monkeypatch, small_blobs, 
     run_table1(3, 0)
     assert calls == {"run_dca": 3, "run_bdca": 3, "run_bdca_plus": 3}
     calls.clear()
-    run_pairwise_mssc(small_blobs, k=2, n_starts=2, seed=0)
+    run_pairwise_mssc(MsscProblem(small_blobs, 2), n_starts=2, seed=0)
     assert calls == {"run_dca": 2, "run_bdca_plus": 2}
     # The CLI's solve runs through the same globals, once.
     for algo, name in (("dca", "run_dca"), ("bdca", "run_bdca"), ("bdca+", "run_bdca_plus")):

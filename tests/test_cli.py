@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from dcboost.bench import MultiStartReport, run_pairwise_mssc, run_table1
-from dcboost.cli import _params_from_args, _write_json, build_parser, main
+from dcboost.cli import _fmt, _params_from_args, _write_json, build_parser, main
 from dcboost.core import SolverParams
-from dcboost.problems.mssc import generate_blobs, load_points_csv
+from dcboost.problems.mssc import MsscProblem, generate_blobs, load_points_csv
 from dcboost.solvers import StationarityReport
 
 
@@ -344,6 +344,32 @@ def test_cluster_bad_csv_exit_code(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_cluster_passes_rho_to_the_problem(tmp_path):
+    """``cluster --rho R`` writes the rows of the paired runner on the
+    problem built with that ``rho``, which differ from the default's."""
+    out = tmp_path / "p.csv"
+    assert run_cli(
+        "cluster", "--blobs", "3x20", "--k", "3", "--rho", "0.5", "--starts", "3",
+        "--seed", "2", "--csv", str(out), "--json", str(tmp_path / "s.json"),
+    ) == 0
+    data = generate_blobs(3, 20)
+    rows = {}
+    for rho in (0.5, None):
+        report = run_pairwise_mssc(MsscProblem(data, 3, rho), n_starts=3, seed=2)
+        rows[rho] = [",".join(_fmt(v) for v in p.to_dict().values()) for p in report.pairs]
+    assert out.read_text().splitlines()[1:] == rows[0.5]
+    assert rows[0.5] != rows[None]
+
+
+def test_cluster_without_k_names_it_before_reading_data(tmp_path, capsys):
+    code = run_cli(
+        "cluster", "--data", str(tmp_path / "missing.csv"),
+        "--csv", str(tmp_path / "p.csv"), "--json", str(tmp_path / "s.json"),
+    )
+    assert code == 2
+    assert "--k" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 @pytest.mark.parametrize(
     "argv",
@@ -407,7 +433,7 @@ def test_solve_without_x0_uses_cluster_start_zero(tmp_path):
     out = tmp_path / "run.json"
     assert run_cli("solve", "--problem", "mssc", "--algo", "dca", "--blobs", "2x20",
                    "--k", "3", "--seed", "5", "--json", str(out)) == 0
-    report = run_pairwise_mssc(generate_blobs(2, 20), 3, n_starts=1, seed=5)
+    report = run_pairwise_mssc(MsscProblem(generate_blobs(2, 20), 3), n_starts=1, seed=5)
     assert json.loads(out.read_text())["x0"] == report.runs["DCA"][0].x0.tolist()
 
 

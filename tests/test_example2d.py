@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcboost import Example2dProblem, eval_phi, make_d1, run_dca
+from dcboost import eval_phi, make_d1, run_dca
 from dcboost.problems.example2d import CRITICAL_POINTS
 from dcboost.solvers import check_d_stationarity
 
@@ -18,20 +18,15 @@ def test_subgrad_at_minimum(example2d):
     )
 
 
-def test_subgrad_zero_convention():
-    prob = Example2dProblem(sign_at_zero=0.0)
-    assert np.array_equal(prob.subgrad_h(np.zeros(2)), np.zeros(2))
+def test_subgrad_zero_convention(example2d):
+    # The selection takes d|t|/dt = +1 at the kink, in both coordinates.
+    assert np.array_equal(example2d.subgrad_h(np.zeros(2)), np.array([1.0, 1.0]))
 
 
 def test_sample_start_draws_from_the_square(example2d):
     # The draw that table1's basin counts and solve's default start rest on.
     x = example2d.sample_start(np.random.default_rng((2, 7)))
     assert np.array_equal(x, np.random.default_rng((2, 7)).uniform(-1.5, 1.5, 2))
-
-
-def test_sign_at_zero_validation():
-    with pytest.raises(ValueError):
-        Example2dProblem(sign_at_zero=1.5)
 
 
 def test_solve_subproblem_values(example2d):
@@ -83,12 +78,3 @@ def test_dir_deriv_matches_difference_quotient(example2d, rng):
         t = 1e-8
         fd = (example2d.eval_h(x + t * d) - example2d.eval_h(x)) / t
         assert example2d.dir_deriv_h(x, d) == pytest.approx(fd, abs=1e-6)
-
-
-def test_subgradient_convention_changes_basin():
-    # From (0, 1) the default convention stays on the axis and reaches the
-    # origin; selecting 0 at the kink drifts off the axis toward (-1, 0).
-    plus = run_dca(Example2dProblem(sign_at_zero=1.0), np.array([0.0, 1.0]))
-    zero = run_dca(Example2dProblem(sign_at_zero=0.0), np.array([0.0, 1.0]))
-    assert np.linalg.norm(plus.final_point - [0.0, 0.0]) < 1e-4
-    assert np.linalg.norm(zero.final_point - [-1.0, 0.0]) < 1e-4

@@ -29,6 +29,28 @@ def test_cluster_data_mean_and_immutability():
         data.points[0, 0] = 9.0
 
 
+@pytest.mark.parametrize("clone", ["pickle", "deepcopy"])
+def test_cluster_data_copies_stay_read_only(clone):
+    """A copy is rebuilt from its points, so both arrays stay read-only
+    (and pool workers get read-only data) and the mean keeps its bits."""
+    import copy
+    import pickle
+
+    data = generate_blobs(3, 20, seed=1)
+    twin = pickle.loads(pickle.dumps(data)) if clone == "pickle" else copy.deepcopy(data)
+    for name in ("points", "mean"):
+        assert not getattr(twin, name).flags.writeable
+        assert getattr(twin, name).tobytes() == getattr(data, name).tobytes()
+    with pytest.raises(ValueError):
+        twin.points[0, 0] = 9.0
+
+
+def test_cluster_data_mean_is_not_an_argument():
+    # The mean is always computed from the points, never taken as given.
+    with pytest.raises(TypeError):
+        ClusterData(np.zeros((2, 2)), mean=np.ones(2))
+
+
 def test_cluster_data_validation():
     with pytest.raises(ValueError):
         ClusterData(np.zeros((0, 2)))
