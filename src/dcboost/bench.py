@@ -19,9 +19,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from dcboost.core import DcProblem, Record, RunResult, SolverParams, Termination, timing
+from dcboost.core import (
+    DcProblem,
+    Record,
+    RunResult,
+    SolverParams,
+    Termination,
+    as_count,
+    norm,
+    timing,
+)
 from dcboost.problems.example2d import CRITICAL_POINTS, Example2dProblem
-from dcboost.solvers import _norm, run_bdca, run_bdca_plus, run_dca
+from dcboost.solvers import run_bdca, run_bdca_plus, run_dca
 from dcboost.spanning import PositiveSpanningSet, make_pss
 
 __all__ = [
@@ -119,7 +128,7 @@ def classify_limit_point(
                 )
     x = np.asarray(x, dtype=float)
     for label, p in references:
-        if _norm(x - np.asarray(p, dtype=float)) <= tol:
+        if norm(x - np.asarray(p, dtype=float)) <= tol:
             return label
     return UNCLASSIFIED
 
@@ -205,10 +214,8 @@ def _run_starts(
 def _multistart_params(n_starts: int, workers: int, params: Optional[SolverParams]) -> SolverParams:
     """Check the start and worker counts; ``params`` or the defaults, made
     once for all runs."""
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    as_count(n_starts, "n_starts")
+    as_count(workers, "workers")
     return SolverParams() if params is None else params
 
 

@@ -25,7 +25,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from dcboost.bench import ALGORITHMS, PairRow, draw_start, run_algorithm, run_pairwise_mssc, run_table1
-from dcboost.core import ProblemDefinitionError, SolverParams
+from dcboost.core import ProblemDefinitionError, SolverParams, norm
 from dcboost.problems.example2d import Example2dProblem
 from dcboost.problems.mssc import ClusterData, MsscProblem, generate_blobs, load_points_csv
 from dcboost.solvers import check_d_stationarity
@@ -205,7 +205,7 @@ def cmd_solve(args) -> int:
                     rec.k,
                     rec.phi_x,
                     rec.phi_y,
-                    float(np.linalg.norm(rec.d_k)),
+                    norm(rec.d_k),
                     rec.lambda_k,
                     mu_event,
                 ]

@@ -39,6 +39,9 @@ __all__ = [
     "ValidationReport",
     "validate_problem",
     "as_point",
+    "as_count",
+    "sq_norm",
+    "norm",
 ]
 
 #: Dense real vector of length ``problem.dim``.
@@ -73,6 +76,28 @@ def as_point(x: Sequence[float] | np.ndarray, dim: int | None = None) -> Point:
     if not np.all(np.isfinite(p)):
         raise ValueError("point has non-finite entries")
     return p
+
+
+def as_count(value: Any, name: str) -> int:
+    """``value`` as an int, checked to be a count: an integer >= 1 (numpy
+    integers included).  A bool or a float is not a count, even 2.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1")
+    return int(value)
+
+
+def sq_norm(v: Point) -> float:
+    """Squared Euclidean length ``||v||^2`` of a 1-D float vector.  Every
+    decision the solvers take on a length (the stall test, the Armijo
+    bound, the subproblem residual) is computed here."""
+    return float(np.dot(v, v))
+
+
+def norm(v: Point) -> float:
+    """Euclidean length of a 1-D float vector; the same bits as
+    ``np.linalg.norm(v)``, which computes exactly this, without its
+    per-call overhead."""
+    return math.sqrt(sq_norm(v))
 
 
 @dataclass(frozen=True)
@@ -112,9 +137,11 @@ class SolverParams:
             object.__setattr__(self, "eta", 1.0 / self.beta2)
         if self.tau is None:
             object.__setattr__(self, "tau", self.eps2)
+        # range() in the driver loop takes integers only, not 1e3 or inf.
+        object.__setattr__(self, "max_iter", as_count(self.max_iter, "max_iter"))
         for f in dataclasses.fields(self):
-            # NaN passes every comparison below; max_iter is checked as an int.
-            if f.name != "max_iter" and not math.isfinite(getattr(self, f.name)):
+            # NaN passes every comparison below.
+            if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
         if not 0.0 < self.beta1 < 1.0:
             raise ValueError("beta1 must lie in (0, 1)")
@@ -141,11 +168,6 @@ class SolverParams:
             raise ValueError("eta*mu_bar + tau must be positive and finite")
         if self.lambda_bar1 <= 0.0:
             raise ValueError("lambda_bar1 must be positive")
-        # range() in the driver loop takes integers only, not 1e3 or inf;
-        # True is an int, but not a count.
-        n = self.max_iter
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError("max_iter must be a positive integer")
 
 
 def timing(**kwargs: Any) -> Any:

@@ -30,22 +30,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dcboost.core import DcProblem, Point
+from dcboost.core import DcProblem, Point, as_count, sq_norm
 
 __all__ = ["ClusterData", "MsscProblem", "generate_blobs", "load_points_csv"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterData:
     """An immutable point cloud with its cached mean.  Both arrays are
-    read-only, in copies too: a pickled or copied instance is rebuilt from
-    its points."""
+    read-only copies, in copies of the instance too: a pickled or copied
+    instance is rebuilt from its points.  Instances compare and hash by
+    identity."""
 
     points: np.ndarray
     mean: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)  # the caller's array stays writeable
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError(f"points must be a nonempty (n, s) array, got {pts.shape}")
         if not np.all(np.isfinite(pts)):
@@ -85,8 +86,8 @@ def generate_blobs(
     per-coordinate bounds), then ``points_per_blob`` samples are drawn
     around each center with standard deviation ``spread``.
     """
-    if n_blobs < 1 or points_per_blob < 1:
-        raise ValueError("n_blobs and points_per_blob must be positive")
+    as_count(n_blobs, "n_blobs")
+    as_count(points_per_blob, "points_per_blob")
     if spread <= 0:
         raise ValueError("spread must be positive")
     lo = np.asarray(box[0], dtype=float)
@@ -257,10 +258,8 @@ class MsscProblem(DcProblem):
     """
 
     def __init__(self, data: ClusterData, k: int, rho: float | None = None):
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-            raise ValueError("k must be an integer >= 1")
+        self.k = as_count(k, "k")
         self.data = data
-        self.k = int(k)
         self.dim = self.k * data.dim_space
         self.rho = float(rho) if rho is not None else 1.0 / (data.n * self.k)
         if not math.isfinite(self.rho):
@@ -425,7 +424,7 @@ class MsscProblem(DcProblem):
         whole = total is None
         if whole:
             total = self._sq_dists(c)
-        reg = 0.5 * self.rho * float(np.dot(c.ravel(), c.ravel()))
+        reg = 0.5 * self.rho * sq_norm(c.ravel())
         ws.entry = _PointEval(*ws.views[0 if whole else 1], total, reg)
         if whole and math.isfinite(total):
             ws.base_key = key

@@ -21,7 +21,11 @@ Every iteration enforces two oracle contracts at runtime: the subproblem
 first-order residual ``||grad_g(y_k) - u_k|| <= 1e-8 * (1 + ||u_k||)``
 and the strong-convexity descent guarantee
 ``phi(y_k) <= phi(x_k) - rho * ||d_k||^2`` (with floating-point slack).
-Violations raise :class:`~dcboost.core.ProblemDefinitionError`.
+Violations raise :class:`~dcboost.core.ProblemDefinitionError`, as does a
+non-finite objective at the start or at any ``y_k``.  A line-search trial
+or a direct-search probe whose objective is not finite only fails the
+test it was made for: a correct problem can overflow far from the points
+a run keeps.
 """
 
 from __future__ import annotations
@@ -48,7 +52,9 @@ from dcboost.core import (
     Termination,
     as_point,
     eval_phi,
+    norm,
     phi_and_scale,
+    sq_norm,
 )
 from dcboost.spanning import PositiveSpanningSet, make_d1
 
@@ -141,13 +147,6 @@ class StationarityReport(Record):
         )
 
 
-def _norm(v: Point) -> float:
-    """Euclidean norm of a 1-D float vector; the same bits as
-    ``np.linalg.norm(v)``, which computes exactly this, without its
-    per-call overhead."""
-    return math.sqrt(float(np.dot(v, v)))
-
-
 def _dc_step(
     problem: DcProblem, x: Point, phi_x: float
 ) -> tuple[Point, Point, Point, float, float]:
@@ -157,15 +156,15 @@ def _dc_step(
     """
     u = problem.subgrad_h(x)
     y = problem.solve_subproblem(u)
-    residual = _norm(problem.grad_g(y) - u)
-    if residual > SUBPROBLEM_RESIDUAL_RTOL * (1.0 + _norm(u)):
+    residual = norm(problem.grad_g(y) - u)
+    if residual > SUBPROBLEM_RESIDUAL_RTOL * (1.0 + norm(u)):
         raise ProblemDefinitionError(
             f"subproblem solution has first-order residual {residual:.3e} "
             f"at u={np.asarray(u)!r}"
         )
     d = y - x
     phi_y = eval_phi(problem, y)
-    dd = float(np.dot(d, d))
+    dd = sq_norm(d)
     bound = phi_x - problem.rho * dd
     if phi_y > bound + DESCENT_SLACK * (1.0 + abs(phi_x)):
         raise ProblemDefinitionError(
@@ -196,28 +195,43 @@ def _armijo(
     dd: float,
 ) -> tuple[float, float]:
     """Backtracking with cached phi(y) and ``dd = ||d||^2``; returns
-    (lambda, phi at the move)."""
+    (lambda, phi at the move).
+
+    A trial whose objective is not finite fails the decrease test: the
+    trial is a point the search made, not one the run keeps, so it blames
+    no one.  Such trials are counted in one logged warning.
+    """
     if lambda_trial <= 0.0:
         return 0.0, phi_y
     if dd == 0.0:
         return 0.0, phi_y
     lam = float(lambda_trial)
+    rejected = 0
     for _ in range(_MAX_SHRINKS + 1):
-        phi_trial = eval_phi(problem, y + lam * d)
+        try:
+            phi_trial = eval_phi(problem, y + lam * d)
+        except ProblemDefinitionError:  # the objective is not finite there
+            phi_trial = math.inf
+            rejected += 1
         if phi_trial <= phi_y - alpha * lam * lam * dd:
-            return lam, phi_trial
+            break
         lam *= beta1
         if lam < _LAMBDA_FLOOR:
             log.warning(
                 "line search shrank below %.0e; falling back to the plain step",
                 _LAMBDA_FLOOR,
             )
-            return 0.0, phi_y
-    log.warning(
-        "line search exceeded %d shrink steps; falling back to the plain step",
-        _MAX_SHRINKS,
-    )
-    return 0.0, phi_y
+            lam, phi_trial = 0.0, phi_y
+            break
+    else:
+        log.warning(
+            "line search exceeded %d shrink steps; falling back to the plain step",
+            _MAX_SHRINKS,
+        )
+        lam, phi_trial = 0.0, phi_y
+    if rejected:
+        log.warning("line search rejected %d trials with a non-finite objective", rejected)
+    return lam, phi_trial
 
 
 def armijo_backtrack(
@@ -237,9 +251,7 @@ def armijo_backtrack(
     logged warning; both are floating-point guards, not expected paths.
     """
     phi_y = eval_phi(problem, y_k)
-    lam, _ = _armijo(
-        problem, y_k, d_k, phi_y, lambda_trial, alpha, beta1, float(np.dot(d_k, d_k))
-    )
+    lam, _ = _armijo(problem, y_k, d_k, phi_y, lambda_trial, alpha, beta1, sq_norm(d_k))
     return lam
 
 
@@ -296,6 +308,9 @@ def dfo_escape(
     radius still exceeds ``eps2`` it shrinks by ``beta2`` and the scan
     repeats; otherwise the point is certified and ``x_next`` is ``None``.
 
+    A probe whose objective is not finite does not improve, and the scan
+    moves on; such probes are counted in one logged warning.
+
     Intended to be called only when the DC displacement has stalled
     (``||d_k|| <= eps1``).
     """
@@ -303,21 +318,30 @@ def dfo_escape(
     mu = params.eta * state.mu + params.tau
     mu_tried: list[float] = []
     dirs = pss.directions
-    while True:
-        mu_tried.append(mu)
-        # Row i has the bits of y_k + mu * dirs[i].
-        trials = y_k + mu * dirs
-        for i, trial in enumerate(trials):
-            phi_trial, scale_trial = phi_and_scale(problem, trial)
-            guard = _DFO_ACCEPT_GUARD * (1.0 + scale_y + scale_trial)
-            if phi_trial < phi_y - guard:
+    rejected = 0
+    try:
+        while True:
+            mu_tried.append(mu)
+            # Row i has the bits of y_k + mu * dirs[i].
+            trials = y_k + mu * dirs
+            for i, trial in enumerate(trials):
+                try:
+                    phi_trial, scale_trial = phi_and_scale(problem, trial)
+                except ProblemDefinitionError:  # the objective is not finite there
+                    rejected += 1
+                    continue
+                guard = _DFO_ACCEPT_GUARD * (1.0 + scale_y + scale_trial)
+                if phi_trial < phi_y - guard:
+                    state.mu = mu
+                    return DfoOutcome(trial, phi_trial, DfoEvent(mu_tried, mu, i))
+            if mu > params.eps2:
+                mu *= params.beta2
+            else:
                 state.mu = mu
-                return DfoOutcome(trial, phi_trial, DfoEvent(mu_tried, mu, i))
-        if mu > params.eps2:
-            mu *= params.beta2
-        else:
-            state.mu = mu
-            return DfoOutcome(None, None, DfoEvent(mu_tried, None, None))
+                return DfoOutcome(None, None, DfoEvent(mu_tried, None, None))
+    finally:
+        if rejected:
+            log.warning("direct search rejected %d probes with a non-finite objective", rejected)
 
 
 def _drive(
@@ -341,7 +365,7 @@ def _drive(
     t0 = time.perf_counter()
     for k in range(params.max_iter):
         y, d, u, phi_y, dd = _dc_step(problem, x, phi_x)
-        # math.sqrt(dd) has the bits of _norm(d).
+        # math.sqrt(dd) has the bits of norm(d).
         if math.sqrt(dd) > params.eps1:
             if boost:
                 trial = next_trial_step(state, params.gamma, params.lambda_bar1)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dcboost.core import as_count
+
 __all__ = [
     "PositiveSpanningSet",
     "make_d1",
@@ -56,8 +58,7 @@ class PositiveSpanningSet:
 
 def make_d1(m: int) -> PositiveSpanningSet:
     """Signed coordinate directions: e1, -e1, e2, -e2, ..., em, -em (2m total)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = as_count(m, "m")
     dirs = np.zeros((2 * m, m))
     for i in range(m):
         dirs[2 * i, i] = 1.0
@@ -67,8 +68,7 @@ def make_d1(m: int) -> PositiveSpanningSet:
 
 def make_d2(m: int) -> PositiveSpanningSet:
     """Coordinate directions plus the all-minus-ones vector (m + 1 total)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = as_count(m, "m")
     dirs = np.vstack([np.eye(m), -np.ones((1, m))])
     return PositiveSpanningSet(m, dirs, "d2")
 
@@ -82,8 +82,7 @@ def make_d3(m: int) -> PositiveSpanningSet:
     orthonormal basis of the hyperplane orthogonal to the all-ones vector,
     and normalize.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = as_count(m, "m")
     n = m + 1
     # Basis of the hyperplane 1^T z = 0 in R^(m+1): columns e_i - e_n.
     basis = np.zeros((n, m))
@@ -121,8 +120,7 @@ def check_positive_spanning(
     span.  Passing is only probabilistic evidence (this is a test utility,
     not an exact feasibility solve).
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    as_count(n_samples, "n_samples")
     rng = np.random.default_rng(rng_seed)
     d = rng.standard_normal((n_samples, pss.dim))
     norms = np.linalg.norm(d, axis=1, keepdims=True)

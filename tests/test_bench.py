@@ -41,9 +41,9 @@ def test_spec_validation(small_blobs):
     with pytest.raises(ValueError):
         run_pairwise_mssc(MsscProblem(small_blobs, 2), n_starts=0, seed=0)
     for workers in (0, -3):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
             run_pairwise_mssc(MsscProblem(small_blobs, 2), n_starts=1, seed=0, workers=workers)
-        with pytest.raises(ValueError, match="workers must be >= 1"):
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
             run_table1(1, seed=0, workers=workers)
 
 

@@ -48,6 +48,23 @@ def test_solve_dca_fixed_point_single_iteration(tmp_path):
     assert payload["termination"] == "CriticalPoint"
 
 
+def test_solve_survives_line_search_trials_that_overflow(tmp_path, caplog):
+    # Every trial y + lam*d of the first line search (lam from 1e308 down
+    # by 1/4, 201 trials) is finite while its objective overflows.  They
+    # fail the decrease test; none blames the problem.
+    out = tmp_path / "run.json"
+    with caplog.at_level("WARNING"):
+        code = run_cli(
+            "solve", "--problem", "example2d", "--algo", "bdca", "--x0=0.3,0.7",
+            "--lambda-bar1", "1e308", "--json", str(out),
+        )
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert np.allclose(payload["final_point"], [0.0, 0.0], rtol=0.0, atol=2e-9)
+    assert len(payload["iterations"]) == 18
+    assert "line search rejected 201 trials with a non-finite objective" in caplog.messages
+
+
 def test_solve_timings_flag(tmp_path):
     out = tmp_path / "run.json"
     run_cli(
@@ -385,7 +402,7 @@ def test_non_positive_workers_is_usage_error(tmp_path, capsys, argv, workers):
         *argv, "--workers", workers, "--csv", str(csv_out), "--json", str(json_out)
     )
     assert code == 2
-    assert "workers must be >= 1" in capsys.readouterr().err
+    assert "workers must be an integer >= 1" in capsys.readouterr().err
     assert not csv_out.exists() and not json_out.exists()
 
 

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from dcboost import (
     eval_phi,
     validate_problem,
 )
-from dcboost.bench import PairRow, StartSummary
-from dcboost.core import IterationRecord, RunResult, Termination, as_point
+from dcboost.bench import PairRow, StartSummary, run_pairwise_mssc, run_table1
+from dcboost.core import IterationRecord, RunResult, Termination, as_point, norm
+from dcboost.problems.mssc import generate_blobs
+from dcboost.spanning import check_positive_spanning, make_d1, make_d2, make_d3
 
 
 def test_eval_phi_example2d_origin(example2d):
@@ -88,7 +92,7 @@ def test_params_reject_non_finite(name, value):
 
 @pytest.mark.parametrize("value", [2.5, 1e3, float("inf"), float("nan"), True])
 def test_params_reject_a_max_iter_that_is_not_an_integer(value):
-    with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+    with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
         SolverParams(max_iter=value)
 
 
@@ -111,6 +115,78 @@ def test_as_point_checks():
         as_point([1.0, 2.0], dim=3)
     with pytest.raises(ValueError):
         as_point([[1.0, 2.0]])
+
+
+# Every count a caller passes, each as a call taking the value: all go
+# through core.as_count.
+COUNTS = {
+    "max_iter": lambda v: SolverParams(max_iter=v),
+    "k": lambda v: MsscProblem(ClusterData(np.zeros((2, 2))), v),
+    "n_blobs": lambda v: generate_blobs(v, 3),
+    "points_per_blob": lambda v: generate_blobs(2, v),
+    "m (d1)": make_d1,
+    "m (d2)": make_d2,
+    "m (d3)": make_d3,
+    "n_samples": lambda v: check_positive_spanning(make_d1(2), v, 0),
+    "n_starts (table1)": lambda v: run_table1(v, 0),
+    "n_starts (pairwise)": lambda v: run_pairwise_mssc(Example2dProblem(), v, 0),
+    "workers": lambda v: run_table1(1, 0, workers=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, 0])
+@pytest.mark.parametrize("count", COUNTS)
+def test_counts_must_be_integers_of_at_least_one(count, value):
+    # True is an int and 2.5 compares >= 1; neither is a count.
+    name = count.split()[0]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1$"):
+        COUNTS[count](value)
+
+
+@pytest.mark.parametrize("count", COUNTS)
+def test_counts_accept_numpy_integers(count):
+    COUNTS[count](np.int64(2))
+
+
+def test_norm_has_the_bits_of_numpy_norm(rng):
+    for length in range(1, 65):
+        for _ in range(20):
+            v = rng.normal(0.0, 10.0 ** rng.integers(-5, 6), length)
+            assert norm(v) == float(np.linalg.norm(v))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dcboost"
+_BLAS_CALLS = {("np", "dot"), ("np", "inner"), ("np", "vdot"), ("np", "linalg", "norm")}
+
+
+def _dotted(node: ast.AST) -> tuple[str, ...]:
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return tuple(reversed(parts))
+
+
+@pytest.mark.parametrize("module", ["solvers.py", "bench.py", "cli.py"])
+def test_lengths_on_the_solve_path_come_from_sq_norm(module):
+    """Outside the d-stationarity check, these modules take every length
+    from core.sq_norm: no BLAS product of their own, so the rule has one
+    home.  (The check may keep its own products.)"""
+    tree = ast.parse((SRC / module).read_text())
+    found = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == "check_d_stationarity":
+            continue
+        if isinstance(node, ast.Call) and _dotted(node.func) in _BLAS_CALLS:
+            found.append((node.lineno, ".".join(_dotted(node.func))))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        stack.extend(ast.iter_child_nodes(node))
+    assert not found, f"{module}: {sorted(found)}"
 
 
 def test_validate_example2d_passes(example2d, rng):

@@ -45,6 +45,20 @@ def test_cluster_data_copies_stay_read_only(clone):
         twin.points[0, 0] = 9.0
 
 
+def test_cluster_data_leaves_the_callers_array_writeable():
+    points = np.zeros((2, 2))
+    data = ClusterData(points)
+    assert points.flags.writeable
+    points[0, 0] = 9.0  # the instance holds its own copy
+    assert data.points[0, 0] == 0.0 and np.array_equal(data.mean, [0.0, 0.0])
+
+
+def test_cluster_data_compares_and_hashes_by_identity():
+    a, b = ClusterData(np.zeros((2, 2))), ClusterData(np.zeros((2, 2)))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_cluster_data_mean_is_not_an_argument():
     # The mean is always computed from the points, never taken as given.
     with pytest.raises(TypeError):

@@ -1,10 +1,14 @@
-"""README.md's python blocks run as written, so a changed signature cannot
-leave them stale."""
+"""README.md's python blocks run as written, and its command lines parse,
+so a changed signature or a renamed flag cannot leave them stale."""
 
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from dcboost.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +23,26 @@ def test_readme_python_blocks_run_in_order():
     assert np.allclose(namespace["boosted"].final_point, [-1.0, -1.0], atol=1e-4)
     assert namespace["report"].is_d_stationary
     assert len(namespace["pairs"].pairs) == 2
+
+
+def _readme_commands() -> list[str]:
+    """The ``dcboost ...`` lines of the "Command line" section's shell
+    block, with ``\\`` continuations joined."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"^```bash\n(.*?)^```", section, re.M | re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("dcboost ")]
+
+
+def test_readme_has_one_command_per_subcommand():
+    subcommands = [shlex.split(line)[1] for line in _readme_commands()]
+    assert subcommands == ["solve", "check", "table1", "cluster", "gen"]
+
+
+@pytest.mark.parametrize("line", _readme_commands(), ids=lambda line: line.split()[1])
+def test_readme_command_lines_parse(line):
+    # Parsed only, not run.
+    try:
+        build_parser().parse_args(shlex.split(line)[1:])
+    except SystemExit:
+        pytest.fail(f"README command does not parse: {line}")

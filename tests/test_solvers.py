@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from dcboost import (
     Example2dProblem,
+    PositiveSpanningSet,
     ProblemDefinitionError,
     SolverParams,
     eval_phi,
@@ -253,6 +256,58 @@ def test_bdca_plus_reaches_global_minimum_certified(example2d):
 def test_bdca_plus_rejects_dim_mismatch(example2d):
     with pytest.raises(ValueError):
         run_bdca_plus(example2d, np.zeros(2), make_d1(3))
+
+
+# ------------------------------------------------ points that overflow
+
+
+def _rejected(caplog, what: str) -> int:
+    """Trials or probes the solver logged as rejected for a non-finite objective."""
+    pattern = rf"^{what} rejected (\d+) \w+ with a non-finite objective$"
+    return sum(
+        int(m.group(1))
+        for r in caplog.records
+        if (m := re.match(pattern, r.getMessage()))
+    )
+
+
+def test_a_probe_that_overflows_is_rejected_not_blamed(example2d, caplog):
+    # The first probe, 2.00001e155 along the first direction, overflows
+    # the objective of a correct problem.
+    pss = PositiveSpanningSet(2, np.array([[1e154, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
+    with caplog.at_level("WARNING"):
+        res = run_bdca_plus(example2d, np.array([0.3, 0.7]), pss)
+    assert res.termination is Termination.D_STATIONARY_CERTIFIED
+    assert np.allclose(res.final_point, [-1.0, -1.0], atol=1e-9)
+    assert res.n_iterations == 11
+    assert _rejected(caplog, "direct search") == 5
+
+
+class _NanAt(Example2dProblem):
+    """Example2d whose g is NaN where ``bad(x)`` holds."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def eval_g(self, x):
+        return float("nan") if self.bad(x) else super().eval_g(x)
+
+
+X0 = np.array([0.3, 0.7])
+
+
+@pytest.mark.parametrize("runner", [run_dca, run_bdca, run_bdca_plus])
+def test_a_nan_oracle_is_still_blamed_at_the_start(runner):
+    with pytest.raises(ProblemDefinitionError, match=r"not finite at x=array\(\[0\.3, 0\.7\]\)"):
+        runner(_NanAt(lambda x: True), X0)
+
+
+@pytest.mark.parametrize("runner", [run_dca, run_bdca, run_bdca_plus])
+def test_a_nan_oracle_is_still_blamed_at_y_k(example2d, runner):
+    y0, _, _ = dca_step(example2d, X0)
+    with pytest.raises(ProblemDefinitionError, match="not finite") as err:
+        runner(_NanAt(lambda x: np.array_equal(x, y0)), X0)
+    assert repr(y0) in str(err.value)
 
 
 def test_max_iterations_termination(example2d):
