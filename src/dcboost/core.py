@@ -314,12 +314,16 @@ class RunResult(Record):
     final_phi: float
     iterations: list[IterationRecord]
     termination: Termination
-    dfo_invocations: int = 0
     wall_time: Optional[float] = timing(default=0.0)
 
     @property
     def n_iterations(self) -> int:
         return len(self.iterations)
+
+    @property
+    def dfo_invocations(self) -> int:
+        """Iterations that ran the direct search."""
+        return sum(rec.dfo_event is not None for rec in self.iterations)
 
 
 class DcProblem(ABC):

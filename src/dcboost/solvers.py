@@ -4,18 +4,25 @@ variant, and the boosted variant with a direct-search escape step.
 All three drivers share one loop.  Each iteration linearizes the concave
 part at the current iterate ``x_k`` via a subgradient ``u_k``, solves the
 strongly convex subproblem ``min g(x) - <u_k, x>`` for ``y_k``, and forms
-the displacement ``d_k = y_k - x_k``:
+the displacement ``d_k = y_k - x_k``.  Exactly one of three things
+follows, and the iteration leaves one record:
 
-* the plain driver accepts ``y_k`` as the next iterate;
-* the boosted driver additionally backtracks along ``d_k`` from ``y_k``
-  (``d_k`` is a descent direction there) with a sufficient-decrease test
-  and a self-adaptive trial step;
-* the escape-step driver runs the boosted iteration until the
-  displacement stalls, then probes a positive spanning set at shrinking
-  radii.  A strictly improving probe restarts the main loop from the
-  probe point; if no probe improves down to the stopping radius, the
-  stall point carries a certificate that no direction in the spanning
-  set descends at that resolution, and the run stops there.
+* a move, while ``||d_k|| > eps1``: the plain driver accepts ``y_k``; the
+  boosted drivers backtrack along ``d_k`` from ``y_k`` (a descent
+  direction there) with a sufficient-decrease test and a self-adaptive
+  trial step;
+* a stop at ``y_k`` once ``||d_k|| <= eps1``;
+* in place of that stop, the escape-step driver probes a positive
+  spanning set at shrinking radii.  A strictly improving probe restarts
+  the main loop from the probe point; if no probe improves down to the
+  stopping radius, the stall point carries a certificate that no
+  direction in the spanning set descends at that resolution, and the run
+  stops there.
+
+A line search that finds no decrease (its step falls below 1e-14, or 200
+shrinks run out) takes the plain step with one logged warning.  The trial
+rule reuses the last accepted step, so every later trial is 0 and the run
+continues as the plain iteration.
 
 Every iteration enforces two oracle contracts at runtime: the subproblem
 first-order residual ``||grad_g(y_k) - u_k|| <= 1e-8 * (1 + ||u_k||)``
@@ -197,41 +204,38 @@ def _armijo(
     """Backtracking with cached phi(y) and ``dd = ||d||^2``; returns
     (lambda, phi at the move).
 
-    A trial whose objective is not finite fails the decrease test: the
-    trial is a point the search made, not one the run keeps, so it blames
-    no one.  Such trials are counted in one logged warning.
+    A zero trial or a zero direction evaluates nothing (the test is
+    vacuous there).  A trial whose objective is not finite fails the
+    decrease test: the trial is a point the search made, not one the run
+    keeps, so it blames no one.  Such trials are counted in one logged
+    warning.
     """
-    if lambda_trial <= 0.0:
-        return 0.0, phi_y
-    if dd == 0.0:
-        return 0.0, phi_y
-    lam = float(lambda_trial)
-    rejected = 0
-    for _ in range(_MAX_SHRINKS + 1):
+    lam = 0.0 if lambda_trial <= 0.0 or dd == 0.0 else float(lambda_trial)
+    phi_lam = phi_y
+    shrinks = rejected = 0
+    while lam != 0.0:
         try:
-            phi_trial = eval_phi(problem, y + lam * d)
+            phi_lam = eval_phi(problem, y + lam * d)
         except ProblemDefinitionError:  # the objective is not finite there
-            phi_trial = math.inf
+            phi_lam = math.inf
             rejected += 1
-        if phi_trial <= phi_y - alpha * lam * lam * dd:
+        if phi_lam <= phi_y - alpha * lam * lam * dd:
             break
         lam *= beta1
-        if lam < _LAMBDA_FLOOR:
+        shrinks += 1
+        if lam < _LAMBDA_FLOOR or shrinks > _MAX_SHRINKS:
+            # next_trial_step reuses the last accepted step, 0 from here on.
             log.warning(
-                "line search shrank below %.0e; falling back to the plain step",
+                "line search found no decrease before its step fell below %.0e "
+                "or %d shrinks ran out; later trial steps stay 0, so the run "
+                "continues with plain DC steps",
                 _LAMBDA_FLOOR,
+                _MAX_SHRINKS,
             )
-            lam, phi_trial = 0.0, phi_y
-            break
-    else:
-        log.warning(
-            "line search exceeded %d shrink steps; falling back to the plain step",
-            _MAX_SHRINKS,
-        )
-        lam, phi_trial = 0.0, phi_y
+            lam, phi_lam = 0.0, phi_y
     if rejected:
         log.warning("line search rejected %d trials with a non-finite objective", rejected)
-    return lam, phi_trial
+    return lam, phi_lam
 
 
 def armijo_backtrack(
@@ -246,9 +250,10 @@ def armijo_backtrack(
     the sufficient-decrease test
     ``phi(y + lam*d) <= phi(y) - alpha * lam^2 * ||d||^2``.
 
-    A zero trial returns 0 immediately (the test is vacuous at lam = 0).
-    Steps below 1e-14, or more than 200 shrinks, also return 0 with a
-    logged warning; both are floating-point guards, not expected paths.
+    A zero trial or a zero direction returns 0 without evaluating a trial
+    (the test is vacuous there).  A step below 1e-14, or more than 200
+    shrinks, also returns 0, with one logged warning naming both limits;
+    both are floating-point guards, not expected paths.
     """
     phi_y = eval_phi(problem, y_k)
     lam, _ = _armijo(problem, y_k, d_k, phi_y, lambda_trial, alpha, beta1, sq_norm(d_k))
@@ -317,31 +322,28 @@ def dfo_escape(
     phi_y, scale_y = phi_and_scale(problem, y_k)
     mu = params.eta * state.mu + params.tau
     mu_tried: list[float] = []
-    dirs = pss.directions
+    x_next = phi_next = index = None
     rejected = 0
-    try:
-        while True:
-            mu_tried.append(mu)
-            # Row i has the bits of y_k + mu * dirs[i].
-            trials = y_k + mu * dirs
-            for i, trial in enumerate(trials):
-                try:
-                    phi_trial, scale_trial = phi_and_scale(problem, trial)
-                except ProblemDefinitionError:  # the objective is not finite there
-                    rejected += 1
-                    continue
-                guard = _DFO_ACCEPT_GUARD * (1.0 + scale_y + scale_trial)
-                if phi_trial < phi_y - guard:
-                    state.mu = mu
-                    return DfoOutcome(trial, phi_trial, DfoEvent(mu_tried, mu, i))
-            if mu > params.eps2:
-                mu *= params.beta2
-            else:
-                state.mu = mu
-                return DfoOutcome(None, None, DfoEvent(mu_tried, None, None))
-    finally:
-        if rejected:
-            log.warning("direct search rejected %d probes with a non-finite objective", rejected)
+    while True:
+        mu_tried.append(mu)
+        # Row i has the bits of y_k + mu * directions[i].
+        for i, trial in enumerate(y_k + mu * pss.directions):
+            try:
+                phi_trial, scale_trial = phi_and_scale(problem, trial)
+            except ProblemDefinitionError:  # the objective is not finite there
+                rejected += 1
+                continue
+            if phi_trial < phi_y - _DFO_ACCEPT_GUARD * (1.0 + scale_y + scale_trial):
+                x_next, phi_next, index = trial, phi_trial, i
+                break
+        if index is not None or mu <= params.eps2:
+            break
+        mu *= params.beta2
+    state.mu = mu
+    if rejected:
+        log.warning("direct search rejected %d probes with a non-finite objective", rejected)
+    mu_accepted = None if index is None else mu
+    return DfoOutcome(x_next, phi_next, DfoEvent(mu_tried, mu_accepted, index))
 
 
 def _drive(
@@ -360,11 +362,13 @@ def _drive(
     state = SelfAdaptiveState()
     dfo_state = DfoState(mu=params.mu_bar)
     records: list[IterationRecord] = []
-    dfo_invocations = 0
-    termination = Termination.MAX_ITERATIONS
+    termination: Optional[Termination] = None
     t0 = time.perf_counter()
     for k in range(params.max_iter):
         y, d, u, phi_y, dd = _dc_step(problem, x, phi_x)
+        lam = trial = 0.0
+        event = None
+        x_next, phi_next = y, phi_y
         # math.sqrt(dd) has the bits of norm(d).
         if math.sqrt(dd) > params.eps1:
             if boost:
@@ -373,33 +377,25 @@ def _drive(
                     problem, y, d, phi_y, trial, params.alpha, params.beta1, dd
                 )
                 state.advance(lam, trial)
-            else:
-                trial = lam = 0.0
-                phi_next = phi_y
-            records.append(
-                IterationRecord(k, x, y, d, phi_x, phi_y, lam, trial)
-            )
-            x = y if lam == 0.0 else y + lam * d
-            phi_x = phi_next
-            continue
-        if pss is None:
-            records.append(IterationRecord(k, x, y, d, phi_x, phi_y, 0.0, 0.0))
-            x, phi_x = y, phi_y
+                if lam != 0.0:
+                    x_next = y + lam * d
+        elif pss is None:
             termination = Termination.CRITICAL_POINT
+        else:
+            outcome = dfo_escape(problem, y, pss, dfo_state, params)
+            event = outcome.event
+            if outcome.escaped:
+                x_next, phi_next = outcome.x_next, outcome.phi_next
+            else:
+                termination = Termination.D_STATIONARY_CERTIFIED
+        records.append(IterationRecord(k, x, y, d, phi_x, phi_y, lam, trial, event))
+        x, phi_x = x_next, phi_next
+        if termination is not None:
             break
-        dfo_invocations += 1
-        outcome = dfo_escape(problem, y, pss, dfo_state, params)
-        records.append(
-            IterationRecord(k, x, y, d, phi_x, phi_y, 0.0, 0.0, outcome.event)
-        )
-        if not outcome.escaped:
-            x, phi_x = y, phi_y
-            termination = Termination.D_STATIONARY_CERTIFIED
-            break
-        x = outcome.x_next
-        phi_x = outcome.phi_next
+    else:
+        termination = Termination.MAX_ITERATIONS
     wall = time.perf_counter() - t0
-    return RunResult(x, phi_x, records, termination, dfo_invocations, wall)
+    return RunResult(x, phi_x, records, termination, wall)
 
 
 def _require_same_dim(problem: DcProblem, pss: PositiveSpanningSet) -> None:

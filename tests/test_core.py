@@ -13,6 +13,7 @@ from dcboost import (
     ProblemDefinitionError,
     SolverParams,
     eval_phi,
+    run_bdca_plus,
     validate_problem,
 )
 from dcboost.bench import PairRow, StartSummary, run_pairwise_mssc, run_table1
@@ -247,7 +248,6 @@ def test_record_round_trip():
         final_phi=-2.0,
         iterations=[rec],
         termination=Termination.CRITICAL_POINT,
-        dfo_invocations=0,
         wall_time=0.01,
     )
     back = RunResult.from_dict(result.to_dict())
@@ -256,8 +256,24 @@ def test_record_round_trip():
     assert back.iterations[0].lambda_trial == 10.0
 
 
+def test_dfo_invocations_are_counted_from_the_records():
+    # From (0, 1) BDCA+ stalls at (0, 0), escapes, and is certified at (-1, -1).
+    result = run_bdca_plus(Example2dProblem(), np.array([0.0, 1.0]))
+    events = [r for r in result.iterations if r.dfo_event is not None]
+    assert result.dfo_invocations == len(events) == 2
+    d = result.to_dict()
+    assert "dfo_invocations" not in d
+    # A dict written while RunResult kept the count as a field carries it
+    # before wall_time; the key is ignored and the count read from the records.
+    old = {k: v for k, v in d.items() if k != "wall_time"}
+    old.update(dfo_invocations=2, wall_time=None)
+    back = RunResult.from_dict(old)
+    assert back.dfo_invocations == 2
+    assert back.to_dict() == d
+
+
 TIMED_RECORDS = [
-    RunResult(np.array([-1.0, -1.0]), -2.0, [], Termination.CRITICAL_POINT, 0, 0.25),
+    RunResult(np.array([-1.0, -1.0]), -2.0, [], Termination.CRITICAL_POINT, 0.25),
     StartSummary(
         0, np.zeros(2), np.ones(2), -2.0, 4, 1, 0.25, Termination.D_STATIONARY_CERTIFIED
     ),

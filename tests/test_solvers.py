@@ -1,4 +1,6 @@
+import importlib.util
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +113,80 @@ def test_armijo_gives_up_on_ascent_direction(example2d, caplog):
         lam = armijo_backtrack(example2d, y, d, 10.0, 0.9, 0.25)
     assert lam == 0.0
     assert "line search" in caplog.text
+
+
+FALLBACK = (
+    "line search found no decrease before its step fell below 1e-14 or 200 "
+    "shrinks ran out; later trial steps stay 0, so the run continues with "
+    "plain DC steps"
+)
+
+
+def _line_search_evals():
+    """The benchmark's model of a line search's objective evaluations,
+    ``line_search_evals(trial, lam, beta1)``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "launch.py"
+    spec = importlib.util.spec_from_file_location("_bench_launch", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.line_search_evals
+
+
+class _CountingExample2d(Example2dProblem):
+    """Example2d counting objective evaluations (one ``eval_g`` each)."""
+
+    def __init__(self):
+        self.evals = 0
+
+    def eval_g(self, x):
+        self.evals += 1
+        return super().eval_g(x)
+
+
+@pytest.mark.parametrize(
+    "y, d, trial, beta1, lam",
+    [
+        ((0.0, 1.0 / 3.0), (0.0, -2.0 / 3.0), 1.0, 0.25, 1.0),  # first trial accepted
+        ((0.0, 1.0 / 3.0), (0.0, -2.0 / 3.0), 100.0, 0.25, 1.5625),  # 3 backtracks
+        ((0.5, 0.5), (1.0, 1.0), 10.0, 0.25, 0.0),  # the 1e-14 floor, 25 evaluations
+        ((0.5, 0.5), (1.0, 1.0), 10.0, 0.9, 0.0),  # the 200-shrink cap, 201 evaluations
+    ],
+    ids=["accept-first", "backtrack", "floor", "cap"],
+)
+def test_line_search_work_matches_the_benchmark_model(y, d, trial, beta1, lam, caplog):
+    problem = _CountingExample2d()
+    with caplog.at_level("WARNING"):
+        got = armijo_backtrack(problem, np.array(y), np.array(d), trial, 1e-4, beta1)
+    assert got == lam
+    evals = problem.evals - 1  # armijo_backtrack's own phi(y)
+    assert evals == _line_search_evals()(trial, got, beta1)
+    assert evals <= 201
+    assert caplog.messages == ([] if lam else [FALLBACK])
+
+
+@pytest.mark.parametrize("trial, d", [(0.0, (1.0, 1.0)), (10.0, (0.0, 0.0))])
+def test_line_search_without_a_step_evaluates_nothing(trial, d, caplog):
+    problem = _CountingExample2d()
+    with caplog.at_level("WARNING"):
+        got = armijo_backtrack(problem, np.array([0.5, 0.5]), np.array(d), trial, 1e-4, 0.25)
+    assert got == 0.0
+    assert problem.evals == 1  # armijo_backtrack's own phi(y)
+    assert caplog.messages == []
+
+
+def test_a_line_search_fallback_turns_bdca_into_dca_and_says_so(example2d, caplog):
+    # Every trial of the second line search, 1e308 down by 1/4, overflows.
+    with caplog.at_level("WARNING"):
+        res = run_bdca(example2d, np.array([0.3, 0.7]), SolverParams(lambda_bar1=1e308))
+    assert caplog.messages == [
+        FALLBACK,
+        "line search rejected 201 trials with a non-finite objective",
+    ]
+    assert [r.lambda_trial for r in res.iterations[:2]] == [0.0, 1e308]
+    assert all(r.lambda_trial == 0.0 for r in res.iterations[2:])
+    assert res.n_iterations == 18
+    assert np.allclose(res.final_point, [0.0, 0.0], rtol=0.0, atol=2e-9)
+    assert np.array_equal(res.final_point, run_dca(example2d, res.iterations[1].x_k).final_point)
 
 
 # ---------------------------------------------------------------- trial rule

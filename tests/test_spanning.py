@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,27 @@ def test_d3_line_is_forced():
     # The defining relations in one dimension force {+1, -1}.
     dirs = make_d3(1).directions
     assert sorted(np.round(dirs.ravel(), 12)) == [-1.0, 1.0]
+
+
+# SHA-256 of make_d3(m).directions.tobytes().  The bits come from LAPACK's
+# qr and the BLAS product in make_d3, so they hold for one BLAS build:
+# numpy 2.4.6 with scipy-openblas 0.3.31 (DYNAMIC_ARCH, Haswell kernel).
+D3_DIGESTS = {
+    1: "723f1c3eac1d2c306857db9f4466b219af88d13fb056836892154fcd058c55d5",
+    2: "168a8a02b18f1998306b7a01e0237e9cee09bf19c410a4ef82732eec01d9115d",
+    3: "8bfd0f72932fe9216fdcab5b1ec3fe076082eb697c7b854ea4ad34a78f98360b",
+    4: "acdf827e9a9b0086fe15ae7f1291f6fc5cf8bdc8847445abf612b16201f839e5",
+    5: "3afb66be3a5cbb54496d5c45d137f1aa9e0a841bbca1ec154162a0051a4f8d3e",
+    6: "1820ae0ab008529504c7f841e48404f930cf02d838589b07a98f893e62358536",
+    7: "5b978b4a815c5c53826b695f9687d95b14d60e770844a5ab589f3f50d054bd58",
+    8: "f28b0c2c64a1104804201bca35ce8cebcd3353134e5d40b7ee8e4eeb0fb2bb49",
+}
+
+
+@pytest.mark.parametrize("m", sorted(D3_DIGESTS))
+def test_d3_bytes_are_pinned(m):
+    digest = hashlib.sha256(make_d3(m).directions.tobytes()).hexdigest()
+    assert digest == D3_DIGESTS[m]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 20, 200])
