@@ -52,7 +52,8 @@ class Example2dProblem(DcProblem):
         return abs(a) + abs(b) + 0.5 * (a * a + b * b)
 
     def grad_g(self, x: Point) -> Point:
-        return np.array((3.0 * x[0] + 1.0, 3.0 * x[1] + 1.0))
+        a, b = x.tolist()
+        return np.array((3.0 * a + 1.0, 3.0 * b + 1.0))
 
     def subgrad_h(self, x: Point) -> Point:
         a, b = x.tolist()
@@ -60,7 +61,8 @@ class Example2dProblem(DcProblem):
 
     def solve_subproblem(self, u: Point) -> Point:
         # grad_g(y) = u reads 3*y + 1 = u per coordinate.
-        return np.array(((u[0] - 1.0) / 3.0, (u[1] - 1.0) / 3.0))
+        a, b = u.tolist()
+        return np.array(((a - 1.0) / 3.0, (b - 1.0) / 3.0))
 
     def dir_deriv_h(self, x: Point, d: Point) -> float:
         """Exact one-sided directional derivative of h."""

@@ -180,11 +180,28 @@ def _row_sum_plan(k: int) -> list[tuple[int, int]]:
     return plan
 
 
+def _row_sum_paths(plan: list[tuple[int, int]], k: int) -> list[list[tuple[int, bool]]]:
+    """For each column, the additions of ``plan`` on its path to the row
+    sum, as (the other operand, whether the path's value is the left one)."""
+    consumer = {}
+    for i, (left, right) in enumerate(plan):
+        consumer[left] = (k + i, right, True)
+        consumer[right] = (k + i, left, False)
+    paths = []
+    for j in range(k):
+        path, node = [], j
+        while node in consumer:
+            node, other, first = consumer[node]
+            path.append((other, first))
+        paths.append(path)
+    return paths
+
+
 class _PointEval(NamedTuple):
     """What the oracles read at one point."""
 
     dists: np.ndarray  # (n, k) squared distances
-    labels: np.ndarray  # nearest centroid per data point
+    labels: np.ndarray  # nearest centroid per data point, if asked for (see _at)
     row_sums: np.ndarray  # dists.sum(axis=1)
     row_min: np.ndarray  # dists.min(axis=1)
     total: float  # dists.sum()
@@ -197,22 +214,30 @@ class _Workspace:
     ``base_key`` is the base's (see :class:`MsscProblem`).  ``cols``
     holds the base's distances by centroid; ``dists`` holds them by data
     point, but in column ``col``, where a probe wrote its own.  Labels,
-    row sums and minima keep the base's in row 0 and a probe's in row 1
-    (probes run only for 2-D data with k >= 2 and n >= 2)."""
+    row sums and minima keep the base's in row 0 (its labels once
+    ``labeled``) and a probe's in row 1 (probes run only for 2-D data
+    with k >= 2 and n >= 2)."""
 
     def __init__(self, n: int, k: int):
         self.key = self.base_key = self.entry = None
-        self.col, self.built = None, False
+        self.side = 0  # the buffers' row that holds ``entry``
+        self.col, self.built, self.labeled = None, False, False
         self.cols, self.dists = np.empty((k, n)), np.empty((n, k))
         self.labels = np.empty((2, n), dtype=np.intp)
         self.row_sums, self.row_min = np.empty((2, n)), np.empty((2, n))
         self.pair, self.row = np.empty((2, n)), np.empty(n)  # a probe's; eval_h's
-        # By plan index (see _row_sum_plan): the base's columns, its k-1
-        # partial row sums, and 0.0 last.
-        self.operands = [*self.cols, *np.empty((k - 1, n)), 0.0]
+        self.c_sq_one = np.ones((k, 2))  # a whole pass's [|c|^2, 1]
+        self.mask = np.empty(n, dtype=bool)  # comparisons' scratch
+        self.attains = np.empty((k - 1, n), dtype=bool)  # made by _label
+        # By plan index (see _row_sum_plan): the base's columns, its k-2
+        # partial row sums below the row sum, and 0.0 last.
+        self.operands = [*self.cols, *np.empty((max(k - 2, 0), n)), 0.0]
         # Made by _build_base: the base's second-nearest distances, with
         # their first indices.
         self.second_min, self.second_label = np.empty(n), np.empty(n, dtype=np.intp)
+        # Made by _nearest_other for the probes' column ``col``.
+        self.other_min, self.other_label = np.empty(n), np.empty(n, dtype=np.intp)
+        self.bound = np.empty(n)
         views = [a.view() for a in (self.dists, self.labels, self.row_sums, self.row_min)]
         for v in views:
             v.flags.writeable = False
@@ -234,11 +259,13 @@ class MsscProblem(DcProblem):
     instance stays safe.
 
     A whole pass computes the distances by centroid, as k contiguous rows
-    of n: the labels and row minima by a strict ``<`` scan over the rows
-    (argmin's first-index rule), the row sums by numpy's pairwise order
-    for ``np.add.reduce(axis=1)`` (:func:`_row_sum_plan`), keeping the
-    partial sums.  The n-by-k matrix by data point is filled from the
-    rows because the total is ``dists.sum()``, which adds it in C order.
+    of n: the row minima by ``np.minimum.reduce`` over the rows, the row
+    sums by numpy's pairwise order for ``np.add.reduce(axis=1)``
+    (:func:`_row_sum_plan`), keeping the partial sums, and, when an oracle
+    first needs them, the labels as the first row that equals the minimum
+    (argmin's first-index rule).  The n-by-k matrix by data point is
+    filled from the rows because the total is ``dists.sum()``, which adds
+    it in C order.
 
     The last point a whole pass built is the thread's base; its labels,
     row sums and minima are row 0 of the workspace's buffers.  With a
@@ -247,8 +274,9 @@ class MsscProblem(DcProblem):
     evaluated from the base into row 1: column j by the same formula, the
     labels and row minima by an exact selection between it and the base's
     nearest other column (its nearest, or its second nearest where that
-    is j, with argmin's first-index rule), the row sums by adding again
-    the path from column j from the base's partial sums, and the total as
+    is j, with argmin's first-index rule; kept while the probes move the
+    same centroid), the row sums by adding again the path from column j
+    from the base's partial sums, and the total as
     ``dists.sum()`` with the column written in, which touches the whole
     matrix.  Any other point, the base's own included, and a probe whose
     total is not finite, takes a whole pass, which becomes the base.
@@ -260,6 +288,7 @@ class MsscProblem(DcProblem):
     def __init__(self, data: ClusterData, k: int, rho: float | None = None):
         self.k = as_count(k, "k")
         self.data = data
+        self._shape = (self.k, data.dim_space)
         self.dim = self.k * data.dim_space
         self.rho = float(rho) if rho is not None else 1.0 / (data.n * self.k)
         if not math.isfinite(self.rho):
@@ -267,9 +296,19 @@ class MsscProblem(DcProblem):
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         self._a = data.points
-        self._a_t = np.ascontiguousarray(self._a.T)  # column j is c_j @ _a_t
+        # Column j is c_j @ _a_t.  Its rows are writeable: np.bincount
+        # copies a read-only array.
+        self._a_t = self._a.T.copy()
+        self._two_mean = 2.0 * data.mean
+        self._two_plus_rho = 2.0 + self.rho
         self._a_sq = np.einsum("ij,ij->i", self._a, self._a)
-        self._sum_plan = _row_sum_plan(self.k)
+        # [|c|^2, 1] @ _ones_a_sq is |c|^2 + |a|^2 (see _sq_dists).
+        self._ones_a_sq = np.vstack([np.ones(data.n), self._a_sq])
+        self._a_sq_finite = bool(np.all(np.isfinite(self._a_sq)))
+        # numpy's row sum starts from 0.0, and 0.0 + s is s for every s but
+        # -0.0, which no distance is: the plan keeps that addition at k = 1 only.
+        self._sum_plan = _row_sum_plan(self.k)[:-1] or [(-1, 0)]
+        self._sum_paths = _row_sum_paths(self._sum_plan, self.k)
         self._probes = self.k > 1 and data.n > 1 and data.dim_space <= 2
         self._local = threading.local()
 
@@ -288,12 +327,13 @@ class MsscProblem(DcProblem):
         return ws
 
     def _centroids(self, x: Point) -> np.ndarray:
-        return np.asarray(x, dtype=float).reshape(self.k, self.data.dim_space)
+        return np.asarray(x, dtype=float).reshape(self._shape)
 
     def _sq_dists(self, c: np.ndarray) -> float:
         """The whole pass: squared distances data-point-to-centroid, with
-        each data point's nearest-centroid label, minimum and sum, built
-        into the calling thread's buffers; returns their total.
+        each data point's minimum and sum, built into the calling thread's
+        buffers; returns their total.  The labels follow in :meth:`_label`,
+        when first asked for, except where a distance is NaN.
 
         Every element is ``|a|^2 + |c|^2 - 2 a.c`` clamped at 0 and rounded
         as that expression rounds over the matrix ``a @ c.T``: scaling by
@@ -301,8 +341,8 @@ class MsscProblem(DcProblem):
         """
         ws = self._workspace()
         ws.key = ws.base_key = ws.col = None
-        ws.built = False
-        cols, labels, row_min = ws.cols, ws.labels[0], ws.row_min[0]
+        ws.built = ws.labeled = False
+        cols, row_min = ws.cols, ws.row_min[0]
         if self.k > 1 and self.data.n > 1:
             np.matmul(c, self._a_t, out=cols)  # gemm rounds each a.c as in a @ c.T
         else:
@@ -310,21 +350,38 @@ class MsscProblem(DcProblem):
             # orientations round differently; a @ c.T fixes the bits.
             np.matmul(self._a, c.T, out=cols.T)
         # |a|^2 + |c|^2 by centroid, in the matrix by data point until it is filled.
-        c_sq = np.einsum("ij,ij->i", c, c)[:, None]
-        self._finish(cols, np.add(c_sq, self._a_sq, out=ws.dists.reshape(cols.shape)))
-        labels.fill(0)
-        np.copyto(row_min, cols[0])
-        for j, col in enumerate(cols[1:], 1):
-            # A later column wins only where it is smaller: argmin's first index.
-            np.putmask(labels, col < row_min, j)
-            np.minimum(row_min, col, out=row_min)
+        c_sq, sq = np.einsum("ij,ij->i", c, c), ws.dists.reshape(cols.shape)
+        if self._a_sq_finite and math.isfinite(sum(c_sq.tolist())):
+            # Each element adds two exact products, |c|^2 * 1 and 1 * |a|^2, with
+            # one rounding, as the broadcast add does, and gemm is the faster.
+            ws.c_sq_one[:, 0] = c_sq
+            np.matmul(ws.c_sq_one, self._ones_a_sq, out=sq)
+        else:  # gemm would multiply an infinity by the zeros it pads with
+            np.add(c_sq[:, None], self._a_sq, out=sq)
+        self._finish(cols, sq)
+        # np.minimum returns one of its operands, and no distance is -0.0,
+        # so any order of the reduction gives the bits of the row minima.
+        np.minimum.reduce(cols, axis=0, out=row_min)
         self._row_sums(ws)
         np.copyto(ws.dists, cols.T)
         total = float(ws.dists.sum())
-        if math.isnan(total):  # argmin takes a row's first NaN, the scan none
+        if math.isnan(total):  # argmin takes a row's first NaN, _label none
+            labels = ws.labels[0]
             ws.dists.argmin(axis=1, out=labels)
             np.copyto(row_min, np.take_along_axis(ws.dists, labels[:, None], 1)[:, 0])
+            ws.labeled = True
         return total
+
+    def _label(self, ws: _Workspace) -> None:
+        """The base's labels with argmin's first-index rule: the columns,
+        from last to first, mark where they attain the row minimum, so the
+        first column's mark is written last."""
+        labels = ws.labels[0]
+        attains = np.equal(ws.cols[:-1], ws.row_min[0], out=ws.attains)
+        labels.fill(self.k - 1)
+        for j in range(self.k - 2, -1, -1):
+            np.putmask(labels, attains[j], j)
+        ws.labeled = True
 
     @staticmethod
     def _finish(prod: np.ndarray, sq: np.ndarray) -> None:
@@ -350,25 +407,20 @@ class MsscProblem(DcProblem):
             self._build_base(ws)
         # gemm forms each a.c as the whole pass does; a duplicate row keeps
         # numpy from sending a single row through gemv.
-        col, sq = np.matmul(c[[j, j]], self._a_t, out=ws.pair)
+        col, sq = np.matmul(c[j : j + 1].repeat(2, axis=0), self._a_t, out=ws.pair)
         self._finish(col, np.add(self._a_sq, np.einsum("ij,ij->i", c, c)[j], out=sq))
         if ws.col != j:
             if ws.col is not None:  # the base's values back in the last probe's column
                 ws.dists[:, ws.col] = ws.cols[ws.col]
+                # Cleared while _nearest_other rewrites the selection ws.col keys.
+                ws.col = None
+            self._nearest_other(ws, j)
             ws.col = j
         ws.dists[:, j] = col
-        labels, row_min = ws.labels[1], ws.row_min[1]
-        np.copyto(labels, ws.labels[0])
-        np.copyto(row_min, ws.row_min[0])
-        second = labels == j  # the base's nearest is column j
-        np.copyto(labels, ws.second_label, where=second)
-        np.copyto(row_min, ws.second_min, where=second)
-        win = col < row_min
-        tie = col == row_min
-        if tie.any():
-            win |= tie & (labels > j)  # argmin's first-index rule
-        np.copyto(labels, j, where=win)
-        np.copyto(row_min, col, where=win)
+        labels = ws.labels[1]
+        np.copyto(labels, ws.other_label)
+        np.putmask(labels, np.less(col, ws.bound, out=ws.mask), j)
+        np.minimum(ws.other_min, col, out=ws.row_min[1])
         self._add_row_sums(ws, j, col)
         total = float(ws.dists.sum())
         return total if math.isfinite(total) else None
@@ -376,6 +428,8 @@ class MsscProblem(DcProblem):
     def _build_base(self, ws: _Workspace) -> None:
         """The base's second-nearest distances, with their first indices.
         The base is finite, so every row has one."""
+        if not ws.labeled:
+            self._label(ws)
         labels, second_min, second_label = ws.labels[0], ws.second_min, ws.second_label
         second_min.fill(np.inf)
         for j, col in enumerate(ws.cols):
@@ -385,16 +439,32 @@ class MsscProblem(DcProblem):
             np.putmask(second_min, win, col)
         ws.built = True
 
+    @staticmethod
+    def _nearest_other(ws: _Workspace, j: int) -> None:
+        """The base's nearest column other than ``j`` (its nearest, or its
+        second nearest where that is ``j``), with its distance, and the
+        bound below which a probe's column ``j`` is nearer still.  Every
+        base distance is finite, so the bound is: where the other column's
+        index is above ``j``, the next double above its distance (a tie
+        goes to ``j``, argmin's first-index rule); elsewhere that distance."""
+        second = np.equal(ws.labels[0], j, out=ws.mask)
+        np.copyto(ws.other_label, ws.labels[0])
+        np.putmask(ws.other_label, second, ws.second_label)
+        np.copyto(ws.other_min, ws.row_min[0])
+        np.putmask(ws.other_min, second, ws.second_min)
+        np.copyto(ws.bound, ws.other_min)
+        above = np.greater(ws.other_label, j, out=ws.mask)
+        np.nextafter(ws.other_min, np.inf, out=ws.bound, where=above)
+
     def _add_row_sums(self, ws: _Workspace, j: int, col: np.ndarray) -> None:
         """Adds again the partial row sums on the plan's path from column
         ``j``, which holds ``col``, into the probe's row sums; every other
         operand is the base's."""
         ops, out = ws.operands, ws.row_sums[1]
-        node, value = j, col
-        for i, (left, right) in enumerate(self._sum_plan):
-            if node in (left, right):
-                pair = (value, ops[right]) if node == left else (ops[left], value)
-                node, value = self.k + i, np.add(*pair, out=out)
+        value = col
+        for other, first in self._sum_paths[j]:
+            pair = (value, ops[other]) if first else (ops[other], value)
+            value = np.add(*pair, out=out)
 
     def _moved(self, key: bytes, ref: bytes) -> int | None:
         """The only centroid whose bytes differ in ``key`` and ``ref``, if one does."""
@@ -403,64 +473,67 @@ class MsscProblem(DcProblem):
         j = next(moved, None)
         return j if next(moved, None) is None else None
 
-    def _at(self, x: Point) -> tuple[np.ndarray, _PointEval]:
+    def _at(self, x: Point, labels: bool = True) -> tuple[np.ndarray, _PointEval]:
         """Centroids at ``x`` and everything the oracles read there, as
         read-only views of the calling thread's buffers (valid until its
         next call at another point); the last point's buffers are reused,
         a probe is evaluated from the base, and any other point, the
-        base's own included, takes a whole pass."""
+        base's own included, takes a whole pass.  A whole pass's labels
+        are written when a call first asks for them."""
         c = self._centroids(x)
         key = c.tobytes()
         ws = self._workspace()
-        if ws.key == key:
-            return c, ws.entry
-        # Cleared before any buffer is written: a call that fails midway
-        # leaves no point for the next one to reuse.
-        ws.key = total = None
-        if ws.base_key is not None and self._probes:
-            j = self._moved(key, ws.base_key)
-            if j is not None:
-                total = self._update_columns(ws, c, j)
-        whole = total is None
-        if whole:
-            total = self._sq_dists(c)
-        reg = 0.5 * self.rho * sq_norm(c.ravel())
-        ws.entry = _PointEval(*ws.views[0 if whole else 1], total, reg)
-        if whole and math.isfinite(total):
-            ws.base_key = key
-        ws.key = key
+        if ws.key != key:
+            # Cleared before any buffer is written: a call that fails midway
+            # leaves no point for the next one to reuse.
+            ws.key = total = None
+            if ws.base_key is not None and self._probes:
+                j = self._moved(key, ws.base_key)
+                if j is not None:
+                    total = self._update_columns(ws, c, j)
+            whole = total is None
+            if whole:
+                total = self._sq_dists(c)
+            reg = 0.5 * self.rho * sq_norm(c.ravel())
+            ws.side = 0 if whole else 1
+            ws.entry = _PointEval(*ws.views[ws.side], total, reg)
+            if whole and math.isfinite(total):
+                ws.base_key = key
+            ws.key = key
+        if labels and ws.side == 0 and not ws.labeled:
+            self._label(ws)
         return c, ws.entry
 
     def eval_g(self, x: Point) -> float:
-        e = self._at(x)[1]
+        e = self._at(x, labels=False)[1]
         return e.total / self.data.n + e.reg
 
     def eval_h(self, x: Point) -> float:
-        e = self._at(x)[1]
+        e = self._at(x, labels=False)[1]
         # max_j of the sum with term j dropped = row sum - row min.
         row = np.subtract(e.row_sums, e.row_min, out=self._workspace().row)
         return float(row.sum()) / self.data.n + e.reg
 
     def grad_g(self, x: Point) -> Point:
         c = self._centroids(x)
-        g = (2.0 + self.rho) * c - 2.0 * self.data.mean
+        g = self._two_plus_rho * c - self._two_mean
         return g.ravel()
 
     def subgrad_h(self, x: Point) -> Point:
         # argmax_j of the dropped-term sum = nearest centroid.
-        c, e = self._at(x)
-        counts = np.bincount(e.labels, minlength=self.k).astype(float)
+        c = self._at(x)[0]
+        ws = self._workspace()
+        labels = ws.labels[ws.side]  # the entry's, writeable: bincount copies none
+        counts = np.bincount(labels, minlength=self.k)
         sums = np.empty_like(c)
-        for dim in range(c.shape[1]):
-            sums[:, dim] = np.bincount(
-                e.labels, weights=self._a[:, dim], minlength=self.k
-            )
+        for dim, coords in enumerate(self._a_t):
+            sums[:, dim] = np.bincount(labels, weights=coords, minlength=self.k)
         n = float(self.data.n)
         # Every branch t != label_i contributes 2*(x_t - a_i)/n; summing
         # over i leaves the full-data term minus the own-cluster term.
         sub = (
             2.0 * c
-            - 2.0 * self.data.mean
+            - self._two_mean
             - (2.0 / n) * (counts[:, None] * c - sums)
             + self.rho * c
         )
@@ -469,7 +542,7 @@ class MsscProblem(DcProblem):
     def solve_subproblem(self, u: Point) -> Point:
         # grad_g(y) = u reads (2 + rho) * y_j - 2 * mean = u_j blockwise.
         ub = self._centroids(u)
-        return ((ub + 2.0 * self.data.mean) / (2.0 + self.rho)).ravel()
+        return ((ub + self._two_mean) / self._two_plus_rho).ravel()
 
     def dir_deriv_h(self, x: Point, d: Point) -> float:
         """Exact one-sided directional derivative of h.
@@ -477,7 +550,7 @@ class MsscProblem(DcProblem):
         At ties of the inner max the derivative is the max over the tied
         smooth branches (tie detection uses exact float equality).
         """
-        c, e = self._at(x)
+        c, e = self._at(x, labels=False)
         db = self._centroids(d)
         # Branch j of point i (its sum with term j dropped) is active where
         # centroid j is nearest; its derivative is G_i - c_ij with the
@@ -494,7 +567,7 @@ class MsscProblem(DcProblem):
 
     def phi_direct(self, x: Point) -> float:
         """Mean squared distance to the nearest centroid (for cross-checks)."""
-        return float(self._at(x)[1].row_min.mean())
+        return float(self._at(x, labels=False)[1].row_min.mean())
 
     def sample_start(self, rng: np.random.Generator) -> Point:
         """Random centroid configuration, uniform in the data bounding box."""

@@ -147,12 +147,6 @@ class StationarityReport(Record):
     min_deriv: float
     is_d_stationary: bool
 
-    @property
-    def directions_checked(self) -> PositiveSpanningSet:
-        return PositiveSpanningSet(
-            self.directions.shape[1], self.directions, self.pss_kind
-        )
-
 
 def _dc_step(
     problem: DcProblem, x: Point, phi_x: float
@@ -200,9 +194,10 @@ def _armijo(
     alpha: float,
     beta1: float,
     dd: float,
-) -> tuple[float, float]:
+) -> tuple[float, float, Point]:
     """Backtracking with cached phi(y) and ``dd = ||d||^2``; returns
-    (lambda, phi at the move).
+    (lambda, phi at the move, the move ``y + lambda*d``), which is ``y``
+    itself when lambda is 0.
 
     A zero trial or a zero direction evaluates nothing (the test is
     vacuous there).  A trial whose objective is not finite fails the
@@ -211,11 +206,12 @@ def _armijo(
     warning.
     """
     lam = 0.0 if lambda_trial <= 0.0 or dd == 0.0 else float(lambda_trial)
-    phi_lam = phi_y
+    x_lam, phi_lam = y, phi_y
     shrinks = rejected = 0
     while lam != 0.0:
+        x_lam = y + lam * d
         try:
-            phi_lam = eval_phi(problem, y + lam * d)
+            phi_lam = eval_phi(problem, x_lam)
         except ProblemDefinitionError:  # the objective is not finite there
             phi_lam = math.inf
             rejected += 1
@@ -232,10 +228,10 @@ def _armijo(
                 _LAMBDA_FLOOR,
                 _MAX_SHRINKS,
             )
-            lam, phi_lam = 0.0, phi_y
+            lam, x_lam, phi_lam = 0.0, y, phi_y
     if rejected:
         log.warning("line search rejected %d trials with a non-finite objective", rejected)
-    return lam, phi_lam
+    return lam, phi_lam, x_lam
 
 
 def armijo_backtrack(
@@ -256,8 +252,7 @@ def armijo_backtrack(
     both are floating-point guards, not expected paths.
     """
     phi_y = eval_phi(problem, y_k)
-    lam, _ = _armijo(problem, y_k, d_k, phi_y, lambda_trial, alpha, beta1, sq_norm(d_k))
-    return lam
+    return _armijo(problem, y_k, d_k, phi_y, lambda_trial, alpha, beta1, sq_norm(d_k))[0]
 
 
 def next_trial_step(
@@ -373,12 +368,10 @@ def _drive(
         if math.sqrt(dd) > params.eps1:
             if boost:
                 trial = next_trial_step(state, params.gamma, params.lambda_bar1)
-                lam, phi_next = _armijo(
+                lam, phi_next, x_next = _armijo(
                     problem, y, d, phi_y, trial, params.alpha, params.beta1, dd
                 )
                 state.advance(lam, trial)
-                if lam != 0.0:
-                    x_next = y + lam * d
         elif pss is None:
             termination = Termination.CRITICAL_POINT
         else:

@@ -603,7 +603,7 @@ def _bits(value):
     return np.asarray(value, dtype=np.float64).tobytes()
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 9, 16, 17])
 @pytest.mark.parametrize("rows", ["1", "2", "3", "B-1", "B", "B+1", "2B+3"])
 @settings(max_examples=10, deadline=None)
 @given(
@@ -622,7 +622,8 @@ def test_blocked_pass_matches_whole_matrix_formulas(
     formulas' bits, at n = 1, 2, 3 and at n around B = 8192 / k rows
     (8192 distances, up to n = 16387 at k = 1), on exact hits, tied
     centroids, an integer-dtype point and a centroid at 1e200 (infinite
-    distances) or 1e306 (products that overflow: NaN distances)."""
+    distances) or 1e306 (products that overflow: NaN distances).  k = 9
+    and 17 put a label one column past a multiple of 8."""
     b = 8192 // k
     sizes = {"B-1": b - 1, "B": b, "B+1": b + 1, "2B+3": 2 * b + 3}
     n = int(rows) if rows.isdigit() else sizes[rows]
@@ -654,7 +655,9 @@ def test_blocked_pass_matches_whole_matrix_formulas(
 
 def test_point_oracles_allocate_one_matrix_per_point():
     """A new point allocates a few n-vectors, no n-by-k temporary: the
-    whole pass writes into the thread's buffers."""
+    whole pass writes into the thread's buffers.  The subgradient at a
+    buffered point allocates less than one n-vector: np.bincount reads
+    the labels and coordinates in place, with no copy."""
     import tracemalloc
 
     problem = MsscProblem(generate_blobs(16, 1250, seed=0), k=16)
@@ -667,12 +670,16 @@ def test_point_oracles_allocate_one_matrix_per_point():
         before = tracemalloc.get_traced_memory()[0]
         problem.eval_g(second)
         problem.eval_h(second)
-        problem.subgrad_h(second)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        buffered = tracemalloc.get_traced_memory()[0]
+        problem.subgrad_h(second)
+        subgrad_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     vector = n * 8
     assert peak - before < 8 * vector
+    assert subgrad_peak - buffered < vector
 
 
 # ---------------------------------------------------------------------------
