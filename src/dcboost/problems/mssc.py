@@ -201,7 +201,6 @@ class _PointEval(NamedTuple):
     """What the oracles read at one point."""
 
     dists: np.ndarray  # (n, k) squared distances
-    labels: np.ndarray  # nearest centroid per data point, if asked for (see _at)
     row_sums: np.ndarray  # dists.sum(axis=1)
     row_min: np.ndarray  # dists.min(axis=1)
     total: float  # dists.sum()
@@ -213,17 +212,16 @@ class _Workspace:
     oracles read ``entry`` at ``key`` (None while buffers are written);
     ``base_key`` is the base's (see :class:`MsscProblem`).  ``cols``
     holds the base's distances by centroid; ``dists`` holds them by data
-    point, but in column ``col``, where a probe wrote its own.  Labels,
-    row sums and minima keep the base's in row 0 (its labels once
-    ``labeled``) and a probe's in row 1 (probes run only for 2-D data
-    with k >= 2 and n >= 2)."""
+    point, but in column ``col``, where a probe wrote its own.  Row sums
+    and minima keep the base's in row 0 and a probe's in row 1;
+    ``labels`` are the base's once ``labeled``."""
 
     def __init__(self, n: int, k: int):
         self.key = self.base_key = self.entry = None
         self.side = 0  # the buffers' row that holds ``entry``
-        self.col, self.built, self.labeled = None, False, False
+        self.col, self.labeled = None, False
         self.cols, self.dists = np.empty((k, n)), np.empty((n, k))
-        self.labels = np.empty((2, n), dtype=np.intp)
+        self.labels = np.empty(n, dtype=np.intp)
         self.row_sums, self.row_min = np.empty((2, n)), np.empty((2, n))
         self.pair, self.row = np.empty((2, n)), np.empty(n)  # a probe's; eval_h's
         self.c_sq_one = np.ones((k, 2))  # a whole pass's [|c|^2, 1]
@@ -232,13 +230,8 @@ class _Workspace:
         # By plan index (see _row_sum_plan): the base's columns, its k-2
         # partial row sums below the row sum, and 0.0 last.
         self.operands = [*self.cols, *np.empty((max(k - 2, 0), n)), 0.0]
-        # Made by _build_base: the base's second-nearest distances, with
-        # their first indices.
-        self.second_min, self.second_label = np.empty(n), np.empty(n, dtype=np.intp)
-        # Made by _nearest_other for the probes' column ``col``.
-        self.other_min, self.other_label = np.empty(n), np.empty(n, dtype=np.intp)
-        self.bound = np.empty(n)
-        views = [a.view() for a in (self.dists, self.labels, self.row_sums, self.row_min)]
+        self.second_min, self.other_min = np.empty(n), np.empty(n)  # see _build_base
+        views = [a.view() for a in (self.dists, self.row_sums, self.row_min)]
         for v in views:
             v.flags.writeable = False
         self.views = [(views[0], *(v[i] for v in views[1:])) for i in (0, 1)]
@@ -261,25 +254,24 @@ class MsscProblem(DcProblem):
     A whole pass computes the distances by centroid, as k contiguous rows
     of n: the row minima by ``np.minimum.reduce`` over the rows, the row
     sums by numpy's pairwise order for ``np.add.reduce(axis=1)``
-    (:func:`_row_sum_plan`), keeping the partial sums, and, when an oracle
-    first needs them, the labels as the first row that equals the minimum
-    (argmin's first-index rule).  The n-by-k matrix by data point is
-    filled from the rows because the total is ``dists.sum()``, which adds
-    it in C order.
+    (:func:`_row_sum_plan`), keeping the partial sums, and, when the
+    subgradient first needs them, the labels as the first row that equals
+    the minimum (argmin's first-index rule).  The n-by-k matrix by data
+    point is filled from the rows because the total is ``dists.sum()``,
+    which adds it in C order.
 
-    The last point a whole pass built is the thread's base; its labels,
-    row sums and minima are row 0 of the workspace's buffers.  With a
-    finite base total, a probe, a point whose centroids differ from the
-    base's by their bytes in one only, j (as ``y +- mu*e_i`` do), is
-    evaluated from the base into row 1: column j by the same formula, the
-    labels and row minima by an exact selection between it and the base's
-    nearest other column (its nearest, or its second nearest where that
-    is j, with argmin's first-index rule; kept while the probes move the
-    same centroid), the row sums by adding again the path from column j
-    from the base's partial sums, and the total as
-    ``dists.sum()`` with the column written in, which touches the whole
-    matrix.  Any other point, the base's own included, and a probe whose
-    total is not finite, takes a whole pass, which becomes the base.
+    The last point a whole pass built is the thread's base; its row sums
+    and minima are row 0 of the workspace's buffers.  With a finite base
+    total, a probe, a point whose centroids differ from the base's by
+    their bytes in one only, j (as ``y +- mu*e_i`` do), is evaluated from
+    the base into row 1, values only: column j by the same formula, the
+    row minima as the smaller of it and the base's nearest other column
+    (kept while the probes move the same centroid), the row sums by adding
+    again the path from column j from the base's partial sums, and the
+    total as ``dists.sum()`` with the column written in, which touches the
+    whole matrix.  Any other point, the base's own included, a probe whose
+    total is not finite and a probe whose labels are asked for take a
+    whole pass, which becomes the base.
     Probes run only for 2-D data with k >= 2 and n >= 2: with more
     coordinates a probe's two-row product can round differently from the
     same row of the whole pass's.
@@ -341,7 +333,7 @@ class MsscProblem(DcProblem):
         """
         ws = self._workspace()
         ws.key = ws.base_key = ws.col = None
-        ws.built = ws.labeled = False
+        ws.labeled = False
         cols, row_min = ws.cols, ws.row_min[0]
         if self.k > 1 and self.data.n > 1:
             np.matmul(c, self._a_t, out=cols)  # gemm rounds each a.c as in a @ c.T
@@ -366,9 +358,8 @@ class MsscProblem(DcProblem):
         np.copyto(ws.dists, cols.T)
         total = float(ws.dists.sum())
         if math.isnan(total):  # argmin takes a row's first NaN, _label none
-            labels = ws.labels[0]
-            ws.dists.argmin(axis=1, out=labels)
-            np.copyto(row_min, np.take_along_axis(ws.dists, labels[:, None], 1)[:, 0])
+            ws.dists.argmin(axis=1, out=ws.labels)
+            np.copyto(row_min, np.take_along_axis(ws.dists, ws.labels[:, None], 1)[:, 0])
             ws.labeled = True
         return total
 
@@ -376,7 +367,7 @@ class MsscProblem(DcProblem):
         """The base's labels with argmin's first-index rule: the columns,
         from last to first, mark where they attain the row minimum, so the
         first column's mark is written last."""
-        labels = ws.labels[0]
+        labels = ws.labels
         attains = np.equal(ws.cols[:-1], ws.row_min[0], out=ws.attains)
         labels.fill(self.k - 1)
         for j in range(self.k - 2, -1, -1):
@@ -403,58 +394,47 @@ class MsscProblem(DcProblem):
     def _update_columns(self, ws: _Workspace, c: np.ndarray, j: int) -> float | None:
         """Evaluates the probe ``c``, which moves centroid ``j`` of the base,
         with the bits of :meth:`_sq_dists`; returns its total if finite."""
-        if not ws.built:
-            self._build_base(ws)
         # gemm forms each a.c as the whole pass does; a duplicate row keeps
         # numpy from sending a single row through gemv.
         col, sq = np.matmul(c[j : j + 1].repeat(2, axis=0), self._a_t, out=ws.pair)
         self._finish(col, np.add(self._a_sq, np.einsum("ij,ij->i", c, c)[j], out=sq))
         if ws.col != j:
-            if ws.col is not None:  # the base's values back in the last probe's column
+            if ws.col is None:  # the first probe from this base, or after a failure
+                self._build_base(ws)
+            else:  # the base's values back in the last probe's column
                 ws.dists[:, ws.col] = ws.cols[ws.col]
                 # Cleared while _nearest_other rewrites the selection ws.col keys.
                 ws.col = None
             self._nearest_other(ws, j)
             ws.col = j
         ws.dists[:, j] = col
-        labels = ws.labels[1]
-        np.copyto(labels, ws.other_label)
-        np.putmask(labels, np.less(col, ws.bound, out=ws.mask), j)
         np.minimum(ws.other_min, col, out=ws.row_min[1])
         self._add_row_sums(ws, j, col)
         total = float(ws.dists.sum())
         return total if math.isfinite(total) else None
 
-    def _build_base(self, ws: _Workspace) -> None:
-        """The base's second-nearest distances, with their first indices.
-        The base is finite, so every row has one."""
-        if not ws.labeled:
-            self._label(ws)
-        labels, second_min, second_label = ws.labels[0], ws.second_min, ws.second_label
-        second_min.fill(np.inf)
-        for j, col in enumerate(ws.cols):
-            win = col < second_min
-            win &= labels != j
-            np.putmask(second_label, win, j)
-            np.putmask(second_min, win, col)
-        ws.built = True
+    @staticmethod
+    def _build_base(ws: _Workspace) -> None:
+        """The base's second-smallest distances, counted with multiplicity,
+        as a running top two over its columns (k >= 2).  np.minimum and
+        np.maximum return one of their operands, and the base is finite,
+        so the bits are the columns'."""
+        # The running minimum borrows other_min, which _nearest_other rewrites next.
+        cols, first, second, high = ws.cols, ws.other_min, ws.second_min, ws.row
+        np.minimum(cols[0], cols[1], out=first)
+        np.maximum(cols[0], cols[1], out=second)
+        for col in cols[2:]:
+            np.minimum(second, np.maximum(first, col, out=high), out=second)
+            np.minimum(first, col, out=first)
 
     @staticmethod
     def _nearest_other(ws: _Workspace, j: int) -> None:
-        """The base's nearest column other than ``j`` (its nearest, or its
-        second nearest where that is ``j``), with its distance, and the
-        bound below which a probe's column ``j`` is nearer still.  Every
-        base distance is finite, so the bound is: where the other column's
-        index is above ``j``, the next double above its distance (a tie
-        goes to ``j``, argmin's first-index rule); elsewhere that distance."""
-        second = np.equal(ws.labels[0], j, out=ws.mask)
-        np.copyto(ws.other_label, ws.labels[0])
-        np.putmask(ws.other_label, second, ws.second_label)
+        """The distance to the base's nearest column other than ``j``: its
+        nearest, or, where column ``j`` attains that, its second smallest,
+        which equals the nearest on a tie."""
+        attains = np.equal(ws.cols[j], ws.row_min[0], out=ws.mask)
         np.copyto(ws.other_min, ws.row_min[0])
-        np.putmask(ws.other_min, second, ws.second_min)
-        np.copyto(ws.bound, ws.other_min)
-        above = np.greater(ws.other_label, j, out=ws.mask)
-        np.nextafter(ws.other_min, np.inf, out=ws.bound, where=above)
+        np.putmask(ws.other_min, attains, ws.second_min)
 
     def _add_row_sums(self, ws: _Workspace, j: int, col: np.ndarray) -> None:
         """Adds again the partial row sums on the plan's path from column
@@ -473,21 +453,21 @@ class MsscProblem(DcProblem):
         j = next(moved, None)
         return j if next(moved, None) is None else None
 
-    def _at(self, x: Point, labels: bool = True) -> tuple[np.ndarray, _PointEval]:
+    def _at(self, x: Point, labels: bool = False) -> tuple[np.ndarray, _PointEval]:
         """Centroids at ``x`` and everything the oracles read there, as
         read-only views of the calling thread's buffers (valid until its
         next call at another point); the last point's buffers are reused,
         a probe is evaluated from the base, and any other point, the
-        base's own included, takes a whole pass.  A whole pass's labels
-        are written when a call first asks for them."""
+        base's own included, takes a whole pass.  With ``labels``, the
+        point is the base, its labels written: a probe takes a whole pass."""
         c = self._centroids(x)
         key = c.tobytes()
         ws = self._workspace()
-        if ws.key != key:
+        if ws.key != key or (labels and ws.side):
             # Cleared before any buffer is written: a call that fails midway
             # leaves no point for the next one to reuse.
             ws.key = total = None
-            if ws.base_key is not None and self._probes:
+            if not labels and ws.base_key is not None and self._probes:
                 j = self._moved(key, ws.base_key)
                 if j is not None:
                     total = self._update_columns(ws, c, j)
@@ -500,16 +480,16 @@ class MsscProblem(DcProblem):
             if whole and math.isfinite(total):
                 ws.base_key = key
             ws.key = key
-        if labels and ws.side == 0 and not ws.labeled:
+        if labels and not ws.labeled:
             self._label(ws)
         return c, ws.entry
 
     def eval_g(self, x: Point) -> float:
-        e = self._at(x, labels=False)[1]
+        e = self._at(x)[1]
         return e.total / self.data.n + e.reg
 
     def eval_h(self, x: Point) -> float:
-        e = self._at(x, labels=False)[1]
+        e = self._at(x)[1]
         # max_j of the sum with term j dropped = row sum - row min.
         row = np.subtract(e.row_sums, e.row_min, out=self._workspace().row)
         return float(row.sum()) / self.data.n + e.reg
@@ -521,9 +501,8 @@ class MsscProblem(DcProblem):
 
     def subgrad_h(self, x: Point) -> Point:
         # argmax_j of the dropped-term sum = nearest centroid.
-        c = self._at(x)[0]
-        ws = self._workspace()
-        labels = ws.labels[ws.side]  # the entry's, writeable: bincount copies none
+        c = self._at(x, labels=True)[0]
+        labels = self._workspace().labels  # writeable: bincount copies none
         counts = np.bincount(labels, minlength=self.k)
         sums = np.empty_like(c)
         for dim, coords in enumerate(self._a_t):
@@ -550,7 +529,7 @@ class MsscProblem(DcProblem):
         At ties of the inner max the derivative is the max over the tied
         smooth branches (tie detection uses exact float equality).
         """
-        c, e = self._at(x, labels=False)
+        c, e = self._at(x)
         db = self._centroids(d)
         # Branch j of point i (its sum with term j dropped) is active where
         # centroid j is nearest; its derivative is G_i - c_ij with the
@@ -567,7 +546,7 @@ class MsscProblem(DcProblem):
 
     def phi_direct(self, x: Point) -> float:
         """Mean squared distance to the nearest centroid (for cross-checks)."""
-        return float(self._at(x, labels=False)[1].row_min.mean())
+        return float(self._at(x)[1].row_min.mean())
 
     def sample_start(self, rng: np.random.Generator) -> Point:
         """Random centroid configuration, uniform in the data bounding box."""

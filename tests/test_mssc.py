@@ -688,8 +688,9 @@ def test_point_oracles_allocate_one_matrix_per_point():
 
 
 def _memo_bits(problem, x):
-    """Bytes of everything the memo entry holds at ``x``."""
-    return [np.asarray(v).tobytes() for v in problem._at(x)[1]]
+    """Bytes of everything the memo entry holds at ``x``, read as the
+    probes' values are, so that a probe is evaluated from the base."""
+    return [np.asarray(v).tobytes() for v in problem._at(x, labels=False)[1]]
 
 
 _move = st.tuples(
@@ -813,31 +814,38 @@ def test_scan_bits_match_fresh_instance_in_any_dimension(dim_space, n):
 def test_certification_scan_makes_no_whole_pass_per_probe(matrix_count, monkeypatch):
     """A D1 scan that certifies its point, at n = 1200 and at the size of
     the ``cluster`` workload (4x200, k=8), evaluates each probe from the
-    centre's distances instead of building a new matrix."""
+    centre's distances instead of building a new matrix, and labels no
+    point: a poll compares values only."""
     params = SolverParams()
     cases = []
     for data in (generate_blobs(8, 150, spread=0.5, seed=3), generate_blobs(4, 200, seed=0)):
         problem = MsscProblem(data, k=8)
         x0 = problem.sample_start(np.random.default_rng(3))
         cases.append((data, run_bdca_plus(problem, x0).final_point))
-    evals = {"eval_g": 0}
-    eval_g = MsscProblem.eval_g
+    evals = {"eval_g": 0, "_label": 0}
+    eval_g, label = MsscProblem.eval_g, MsscProblem._label
 
     def counted_eval_g(self, x):
         evals["eval_g"] += 1
         return eval_g(self, x)
 
+    def counted_label(self, ws):
+        evals["_label"] += 1
+        return label(self, ws)
+
     monkeypatch.setattr(MsscProblem, "eval_g", counted_eval_g)
+    monkeypatch.setattr(MsscProblem, "_label", counted_label)
     for data, y in cases:
         problem = MsscProblem(data, k=8)
         problem.eval_g(y)
         before = matrix_count["matrices"]
-        evals["eval_g"] = 0
+        evals["eval_g"] = evals["_label"] = 0
         pss = make_d1(problem.dim)
         outcome = dfo_escape(problem, y, pss, DfoState(mu=params.mu_bar), params)
         assert not outcome.escaped
         probes = len(outcome.event.mu_tried) * len(pss.directions)
         assert evals["eval_g"] == 1 + probes
+        assert evals["_label"] == 0
         assert matrix_count["matrices"] == before, data.n
 
 
