@@ -60,7 +60,7 @@ class StartSummary(Record):
     final_phi: float
     n_iterations: int
     dfo_invocations: int
-    wall_time: Optional[float] = timing()
+    wall_time: float = timing()
     termination: Termination
     label: Optional[str] = None
 

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import types
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
-from typing import Any, Callable, Optional, Sequence, TypeVar, Union
-from typing import get_args, get_origin, get_type_hints
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -198,33 +196,7 @@ def _encode(value: Any, include_timings: bool) -> Any:
     raise TypeError(f"cannot encode {type(value).__name__} as JSON")
 
 
-_Decoder = Optional[Callable[[Any], Any]]  # None: the JSON value is used as is
-
-
-def _decoder(tp: Any) -> _Decoder:
-    """Conversion from the JSON value of a field annotated ``tp``."""
-    origin, args = get_origin(tp), get_args(tp)
-    if origin in (Union, types.UnionType):  # Optional[X]
-        (inner,) = [a for a in args if a is not type(None)]
-        dec = _decoder(inner)
-        return None if dec is None else (lambda v: None if v is None else dec(v))
-    if origin is list:
-        dec = _decoder(args[0])
-        return list if dec is None else (lambda v: [dec(x) for x in v])
-    if origin is dict:
-        dec = _decoder(args[1])
-        return dict if dec is None else (lambda v: {k: dec(x) for k, x in v.items()})
-    if tp is np.ndarray:
-        return lambda v: np.asarray(v, dtype=float)
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        return tp
-    if isinstance(tp, type) and issubclass(tp, Record):
-        return tp.from_dict
-    return None
-
-
-# Per-class field lists, built once: (name, is timing) to encode and
-# (name, decoder) to decode.
+# Per-class field list, built once: (name, is timing).
 @cache
 def _encode_plan(cls: type) -> tuple[tuple[str, bool], ...]:
     return tuple(
@@ -232,22 +204,13 @@ def _encode_plan(cls: type) -> tuple[tuple[str, bool], ...]:
     )
 
 
-@cache
-def _decode_plan(cls: type) -> tuple[tuple[str, _Decoder], ...]:
-    hints = get_type_hints(cls)
-    return tuple((f.name, _decoder(hints[f.name])) for f in dataclasses.fields(cls))
-
-
-_R = TypeVar("_R", bound="Record")
-
-
 class Record:
     """Mixin giving a dataclass a lossless JSON-ready dict form.
 
-    Keys follow field order.  Arrays become nested lists (read back as
-    float arrays), enums their values, and nested records, lists and
-    dicts convert recursively; the field annotations drive the way back.  Fields declared with
-    :func:`timing` encode as ``None`` unless ``include_timings`` is set.
+    Keys follow field order.  Arrays become nested lists, enums their
+    values, and nested records, lists and dicts convert recursively.
+    Fields declared with :func:`timing` encode as ``None`` unless
+    ``include_timings`` is set.
     """
 
     def to_dict(self, include_timings: bool = False) -> dict[str, Any]:
@@ -258,15 +221,6 @@ class Record:
                 value = _encode(value, include_timings)
             out[name] = value
         return out
-
-    @classmethod
-    def from_dict(cls: type[_R], d: dict[str, Any]) -> _R:
-        return cls(
-            **{
-                name: d[name] if dec is None else dec(d[name])
-                for name, dec in _decode_plan(cls)
-            }
-        )
 
 
 @dataclass
@@ -305,16 +259,13 @@ class IterationRecord(Record):
 
 @dataclass
 class RunResult(Record):
-    """Full outcome of a solver run: termination point, reason, and trace.
-
-    ``wall_time`` is ``None`` when read back from a dict written without
-    timings."""
+    """Full outcome of a solver run: termination point, reason, and trace."""
 
     final_point: Point
     final_phi: float
     iterations: list[IterationRecord]
     termination: Termination
-    wall_time: Optional[float] = timing(default=0.0)
+    wall_time: float = timing(default=0.0)
 
     @property
     def n_iterations(self) -> int:
@@ -415,12 +366,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 # Relative step of the central differences in :func:`validate_problem`.
 _FD_STEP = 1e-6
@@ -443,7 +388,7 @@ def _fd_grad_g(problem: DcProblem, x: Point) -> Point:
 def validate_problem(problem: DcProblem, samples: Sequence[Point]) -> ValidationReport:
     """Spot-check a problem definition on a set of sample points.
 
-    Three checks run, each reported separately:
+    Three checks run, each reported separately in ``checks``, in this order:
 
     * ``gradient``: central finite differences of ``g`` against ``grad_g``,
       relative error at most 1e-5 per sample.

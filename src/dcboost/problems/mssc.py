@@ -47,8 +47,8 @@ class ClusterData:
 
     def __post_init__(self) -> None:
         pts = np.array(self.points, dtype=float)  # the caller's array stays writeable
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError(f"points must be a nonempty (n, s) array, got {pts.shape}")
+        if pts.ndim != 2 or min(pts.shape) < 1:
+            raise ValueError(f"points must be an (n, s) array with n, s >= 1, got {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("data points must all be finite")
         pts.flags.writeable = False

@@ -29,7 +29,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PositiveSpanningSet:
-    """An ordered set of direction vectors in R^m.
+    """An ordered set of at least m + 1 direction vectors in R^m (fewer
+    cannot positively span it).
 
     ``directions`` has one direction per row, in scan order.  ``kind`` is
     one of ``"d1"``, ``"d2"``, ``"d3"``, ``"custom"``.
@@ -43,6 +44,8 @@ class PositiveSpanningSet:
         dirs = np.asarray(self.directions, dtype=float)
         if dirs.ndim != 2 or dirs.shape[1] != self.dim:
             raise ValueError(f"directions must be (r, {self.dim}), got {dirs.shape}")
+        if dirs.shape[0] < self.dim + 1:
+            raise ValueError(f"need at least {self.dim + 1} directions, got {dirs.shape[0]}")
         with np.errstate(over="ignore"):  # finite 1e308 has norm inf
             norms = np.linalg.norm(dirs, axis=1)
         if not np.all(np.isfinite(norms)):
@@ -51,9 +54,6 @@ class PositiveSpanningSet:
             raise ValueError("directions must all be nonzero")
         dirs.flags.writeable = False
         object.__setattr__(self, "directions", dirs)
-
-    def __len__(self) -> int:
-        return self.directions.shape[0]
 
 
 def make_d1(m: int) -> PositiveSpanningSet:

@@ -246,7 +246,7 @@ def test_criterion_8_oracle_cross_checks():
         (mssc, lambda r: mssc.sample_start(r)),
     ):
         samples = [sampler(rng) for _ in range(100)]
-        check = validate_problem(problem, samples)["gradient"]
+        check = validate_problem(problem, samples).checks[0]  # "gradient"
         grad_ok &= check.passed and check.max_violation <= 1e-5
         grad_details.append(f"{type(problem).__name__}: {check.max_violation:.2e}")
 

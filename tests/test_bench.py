@@ -5,7 +5,7 @@ import pytest
 
 import dcboost.bench
 
-from dcboost import Example2dProblem, MsscProblem, MultiStartReport, classify_limit_point
+from dcboost import Example2dProblem, MsscProblem, classify_limit_point
 from dcboost.bench import UNCLASSIFIED, make_pss, run_algorithm, run_pairwise_mssc, run_table1
 from dcboost.cli import main
 from dcboost.core import Termination
@@ -171,18 +171,6 @@ def test_pool_has_no_more_processes_than_chunks(monkeypatch):
     report = run_table1(2, seed=0, workers=64)
     assert sizes == [2]
     assert report.to_dict() == run_table1(2, seed=0).to_dict()
-
-
-def test_report_round_trip(small_blobs):
-    rep = run_pairwise_mssc(MsscProblem(small_blobs, 2), n_starts=3, seed=1)
-    for include in (False, True):
-        back = MultiStartReport.from_dict(rep.to_dict(include_timings=include))
-        assert [p.gap for p in back.pairs] == [p.gap for p in rep.pairs]
-        assert back.paired_stats.win_fraction == rep.paired_stats.win_fraction
-        for algo in rep.runs:
-            for sa, sb in zip(rep.runs[algo], back.runs[algo]):
-                assert np.array_equal(sa.final_point, sb.final_point)
-                assert (sb.wall_time is None) == (not include)
 
 
 def test_runners_called_by_module_name_once_per_start(monkeypatch, small_blobs, tmp_path):

@@ -1,23 +1,28 @@
 import ast
 import dataclasses
+import importlib
 import json
+import pkgutil
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dcboost
 from dcboost import (
     ClusterData,
     Example2dProblem,
     MsscProblem,
     ProblemDefinitionError,
     SolverParams,
+    check_d_stationarity,
     eval_phi,
     run_bdca_plus,
     validate_problem,
 )
 from dcboost.bench import PairRow, StartSummary, run_pairwise_mssc, run_table1
-from dcboost.core import IterationRecord, RunResult, Termination, as_point, norm
+from dcboost.core import Record, RunResult, Termination, as_point, norm
 from dcboost.problems.mssc import generate_blobs
 from dcboost.spanning import check_positive_spanning, make_d1, make_d2, make_d3
 
@@ -209,9 +214,10 @@ def test_validate_catches_corrupted_gradient(rng):
 
     samples = rng.uniform(-2.0, 2.0, size=(20, 2))
     report = validate_problem(Corrupted(), samples)
-    assert not report["gradient"].passed
+    gradient, subgradient, _ = report.checks
+    assert gradient.name == "gradient" and not gradient.passed
     # The other checks only involve g values, h, and subgrad_h.
-    assert report["subgradient"].passed
+    assert subgradient.name == "subgradient" and subgradient.passed
 
 
 def test_validate_requires_samples(example2d):
@@ -228,48 +234,16 @@ def test_subproblem_residual_invariant(example2d, mssc3, rng):
             assert res <= 1e-8 * (1.0 + np.linalg.norm(u))
 
 
-def test_record_round_trip():
-    rec = IterationRecord(
-        k=3,
-        x_k=np.array([0.5, -0.25]),
-        y_k=np.array([0.125, -0.5]),
-        d_k=np.array([-0.375, -0.25]),
-        phi_x=0.75,
-        phi_y=0.1,
-        lambda_k=2.5,
-        lambda_trial=10.0,
-    )
-    back = IterationRecord.from_dict(rec.to_dict())
-    assert np.array_equal(back.x_k, rec.x_k)
-    assert back.phi_y == rec.phi_y and back.lambda_k == rec.lambda_k
-
-    result = RunResult(
-        final_point=np.array([-1.0, -1.0]),
-        final_phi=-2.0,
-        iterations=[rec],
-        termination=Termination.CRITICAL_POINT,
-        wall_time=0.01,
-    )
-    back = RunResult.from_dict(result.to_dict())
-    assert back.termination is Termination.CRITICAL_POINT
-    assert np.array_equal(back.final_point, result.final_point)
-    assert back.iterations[0].lambda_trial == 10.0
+def _bdca_plus_run():
+    # From (0, 1) BDCA+ stalls at (0, 0), escapes, and is certified at (-1, -1).
+    return run_bdca_plus(Example2dProblem(), np.array([0.0, 1.0]))
 
 
 def test_dfo_invocations_are_counted_from_the_records():
-    # From (0, 1) BDCA+ stalls at (0, 0), escapes, and is certified at (-1, -1).
-    result = run_bdca_plus(Example2dProblem(), np.array([0.0, 1.0]))
+    result = _bdca_plus_run()
     events = [r for r in result.iterations if r.dfo_event is not None]
     assert result.dfo_invocations == len(events) == 2
-    d = result.to_dict()
-    assert "dfo_invocations" not in d
-    # A dict written while RunResult kept the count as a field carries it
-    # before wall_time; the key is ignored and the count read from the records.
-    old = {k: v for k, v in d.items() if k != "wall_time"}
-    old.update(dfo_invocations=2, wall_time=None)
-    back = RunResult.from_dict(old)
-    assert back.dfo_invocations == 2
-    assert back.to_dict() == d
+    assert "dfo_invocations" not in result.to_dict()
 
 
 TIMED_RECORDS = [
@@ -287,7 +261,67 @@ def test_timing_fields_are_null_unless_requested(record):
     assert timed == ["time_ratio" if isinstance(record, PairRow) else "wall_time"]
     (name,) = timed
     assert record.to_dict()[name] is None
-    assert getattr(type(record).from_dict(record.to_dict()), name) is None
     d = json.loads(json.dumps(record.to_dict(include_timings=True)))
     assert d[name] == 0.25
-    assert getattr(type(record).from_dict(d), name) == 0.25
+
+
+LOSSLESS_RECORDS = {
+    "IterationRecord": lambda: next(
+        r for r in _bdca_plus_run().iterations if r.dfo_event is not None
+    ),
+    "RunResult": _bdca_plus_run,
+    "StationarityReport": lambda: check_d_stationarity(
+        Example2dProblem(), np.array([0.0, -1.0]), make_d1(2)
+    ),
+    "MultiStartReport": lambda: run_pairwise_mssc(
+        MsscProblem(generate_blobs(3, 40, spread=0.6, seed=11), 2), n_starts=3, seed=1
+    ),
+}
+
+
+def _assert_encodes(value, encoded, timed):
+    """``encoded`` is ``value`` as ``to_dict`` writes it: records field by
+    field, arrays as their ``tolist()``, enums as their values."""
+    if isinstance(value, Record):
+        fields = dataclasses.fields(value)
+        assert list(encoded) == [f.name for f in fields]
+        for f in fields:
+            if f.metadata.get("timing") and not timed:
+                assert encoded[f.name] is None
+            else:
+                _assert_encodes(getattr(value, f.name), encoded[f.name], timed)
+    elif isinstance(value, np.ndarray):
+        assert encoded == value.tolist()
+    elif isinstance(value, Enum):
+        assert encoded == value.value
+    elif isinstance(value, dict):
+        assert list(encoded) == list(value)
+        for key, item in value.items():
+            _assert_encodes(item, encoded[key], timed)
+    elif isinstance(value, list):
+        assert len(encoded) == len(value)
+        for item, enc in zip(value, encoded):
+            _assert_encodes(item, enc, timed)
+    else:
+        assert encoded == value
+
+
+@pytest.mark.parametrize("include_timings", [False, True])
+@pytest.mark.parametrize("kind", list(LOSSLESS_RECORDS))
+def test_to_dict_is_lossless_json(kind, include_timings):
+    record = LOSSLESS_RECORDS[kind]()
+    d = record.to_dict(include_timings)
+    assert json.loads(json.dumps(d)) == d
+    _assert_encodes(record, d, include_timings)
+
+
+MODULES = ["dcboost"] + [
+    m.name for m in pkgutil.walk_packages(dcboost.__path__, "dcboost.")
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

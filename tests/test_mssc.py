@@ -69,6 +69,8 @@ def test_cluster_data_validation():
     with pytest.raises(ValueError):
         ClusterData(np.zeros((0, 2)))
     with pytest.raises(ValueError):
+        ClusterData(np.zeros((5, 0)))
+    with pytest.raises(ValueError):
         ClusterData(np.array([[1.0, np.nan]]))
 
 
@@ -96,6 +98,8 @@ def test_generate_blobs_validation():
         generate_blobs(2, 10, spread=0.0)
     with pytest.raises(ValueError):
         generate_blobs(2, 10, box=((0.0, 0.0), (0.0, 1.0)))
+    with pytest.raises(ValueError):  # no coordinates
+        generate_blobs(2, 3, box=((), ()))
     for spread, hi in ((float("nan"), 1.0), (1.0, float("nan")), (1.0, float("inf"))):
         with pytest.raises(ValueError, match="must be finite"):
             generate_blobs(2, 10, spread=spread, box=((0.0, 0.0), (hi, 1.0)))

@@ -515,17 +515,6 @@ def test_stationarity_works_with_other_spanning_sets(example2d):
     assert not check_d_stationarity(example2d, np.array([0.0, 0.0]), pss).is_d_stationary
 
 
-def test_stationarity_report_round_trip(example2d):
-    from dcboost.solvers import StationarityReport
-
-    rep = check_d_stationarity(example2d, np.array([0.0, -1.0]), D1)
-    back = StationarityReport.from_dict(rep.to_dict())
-    assert back.is_d_stationary == rep.is_d_stationary
-    assert back.dir_derivs == rep.dir_derivs
-    assert np.array_equal(back.point, rep.point)
-    assert np.array_equal(back.directions, rep.directions)
-
-
 def test_stationarity_validation(example2d):
     with pytest.raises(ValueError):
         check_d_stationarity(example2d, np.zeros(2), D1, tol=-1.0)

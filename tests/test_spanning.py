@@ -25,7 +25,7 @@ def test_d1_line():
 
 def test_d1_cardinality_and_form():
     pss = make_d1(3)
-    assert len(pss) == 6
+    assert len(pss.directions) == 6
     for row in pss.directions:
         assert np.count_nonzero(row) == 1
         assert abs(row).max() == 1.0
@@ -87,9 +87,9 @@ def test_d3_defining_relations(m):
 
 def test_cardinalities():
     for m in (1, 2, 7):
-        assert len(make_d1(m)) == 2 * m
-        assert len(make_d2(m)) == m + 1
-        assert len(make_d3(m)) == m + 1
+        assert len(make_d1(m).directions) == 2 * m
+        assert len(make_d2(m).directions) == m + 1
+        assert len(make_d3(m).directions) == m + 1
 
 
 def test_positive_spanning_sampled_pass():
@@ -98,14 +98,20 @@ def test_positive_spanning_sampled_pass():
 
 
 def test_positive_spanning_detects_halfspace_set():
-    # {e1, e2} cannot produce anything in the open third quadrant.
-    pss = PositiveSpanningSet(2, np.array([[1.0, 0.0], [0.0, 1.0]]))
+    # {e1, e2, (e1 + e2)/sqrt(2)} cannot produce anything in the open
+    # third quadrant.
+    r = np.sqrt(0.5)
+    pss = PositiveSpanningSet(2, np.array([[1.0, 0.0], [0.0, 1.0], [r, r]]))
     assert not check_positive_spanning(pss, 10000, rng_seed=5)
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        PositiveSpanningSet(2, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="nonzero"):
+        PositiveSpanningSet(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    # A positive spanning set of R^m has at least m + 1 directions.
+    for rows in (np.empty((0, 2)), np.array([[1.0, 0.0], [-1.0, 0.0]])):
+        with pytest.raises(ValueError, match="at least 3 directions"):
+            PositiveSpanningSet(2, rows)
     with pytest.raises(ValueError):
         PositiveSpanningSet(3, np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError):
