@@ -17,7 +17,6 @@ from dcboost.core import (
 )
 from dcboost.spanning import (
     PositiveSpanningSet,
-    check_positive_spanning,
     make_d1,
     make_d2,
     make_d3,
@@ -62,7 +61,6 @@ __all__ = [
     "eval_phi",
     "validate_problem",
     "PositiveSpanningSet",
-    "check_positive_spanning",
     "make_d1",
     "make_d2",
     "make_d3",

@@ -23,29 +23,29 @@ __all__ = [
     "make_d3",
     "PSS_KINDS",
     "make_pss",
-    "check_positive_spanning",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PositiveSpanningSet:
     """An ordered set of at least m + 1 direction vectors in R^m (fewer
     cannot positively span it).
 
-    ``directions`` has one direction per row, in scan order.  ``kind`` is
-    one of ``"d1"``, ``"d2"``, ``"d3"``, ``"custom"``.
+    ``directions`` has one direction per row, in scan order, and is a
+    read-only copy, in copies of the instance too.  ``kind`` is one of
+    ``"d1"``, ``"d2"``, ``"d3"``, ``"custom"``.  Instances compare and
+    hash by identity.
     """
 
-    dim: int
     directions: np.ndarray
     kind: str = "custom"
 
     def __post_init__(self) -> None:
-        dirs = np.asarray(self.directions, dtype=float)
-        if dirs.ndim != 2 or dirs.shape[1] != self.dim:
-            raise ValueError(f"directions must be (r, {self.dim}), got {dirs.shape}")
-        if dirs.shape[0] < self.dim + 1:
-            raise ValueError(f"need at least {self.dim + 1} directions, got {dirs.shape[0]}")
+        dirs = np.array(self.directions, dtype=float)  # the caller's array stays writeable
+        if dirs.ndim != 2:
+            raise ValueError(f"directions must be an (r, m) array, got shape {dirs.shape}")
+        if dirs.shape[0] < dirs.shape[1] + 1:
+            raise ValueError(f"need at least {dirs.shape[1] + 1} directions, got {dirs.shape[0]}")
         with np.errstate(over="ignore"):  # finite 1e308 has norm inf
             norms = np.linalg.norm(dirs, axis=1)
         if not np.all(np.isfinite(norms)):
@@ -55,6 +55,14 @@ class PositiveSpanningSet:
         dirs.flags.writeable = False
         object.__setattr__(self, "directions", dirs)
 
+    def __reduce__(self):
+        return (PositiveSpanningSet, (self.directions, self.kind))
+
+    @property
+    def dim(self) -> int:
+        """The dimension m of the space the directions span."""
+        return self.directions.shape[1]
+
 
 def make_d1(m: int) -> PositiveSpanningSet:
     """Signed coordinate directions: e1, -e1, e2, -e2, ..., em, -em (2m total)."""
@@ -63,14 +71,14 @@ def make_d1(m: int) -> PositiveSpanningSet:
     for i in range(m):
         dirs[2 * i, i] = 1.0
         dirs[2 * i + 1, i] = -1.0
-    return PositiveSpanningSet(m, dirs, "d1")
+    return PositiveSpanningSet(dirs, "d1")
 
 
 def make_d2(m: int) -> PositiveSpanningSet:
     """Coordinate directions plus the all-minus-ones vector (m + 1 total)."""
     m = as_count(m, "m")
     dirs = np.vstack([np.eye(m), -np.ones((1, m))])
-    return PositiveSpanningSet(m, dirs, "d2")
+    return PositiveSpanningSet(dirs, "d2")
 
 
 def make_d3(m: int) -> PositiveSpanningSet:
@@ -94,7 +102,7 @@ def make_d3(m: int) -> PositiveSpanningSet:
     centered = np.eye(n) - 1.0 / n
     dirs = centered @ q
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return PositiveSpanningSet(m, dirs, "d3")
+    return PositiveSpanningSet(dirs, "d3")
 
 
 _FACTORIES = {"d1": make_d1, "d2": make_d2, "d3": make_d3}
@@ -108,24 +116,3 @@ def make_pss(kind: str, dim: int) -> PositiveSpanningSet:
     except KeyError:
         raise ValueError(f"unknown spanning set kind {kind!r}") from None
 
-
-def check_positive_spanning(
-    pss: PositiveSpanningSet, n_samples: int, rng_seed: int
-) -> bool:
-    """Sampled necessary condition for positive spanning.
-
-    Draws ``n_samples`` uniform random unit vectors d and verifies that for
-    every one of them some direction v satisfies ``<v, d> > 0``.  A positive
-    spanning set must pass; a failing sample certifies the set does not
-    span.  Passing is only probabilistic evidence (this is a test utility,
-    not an exact feasibility solve).
-    """
-    as_count(n_samples, "n_samples")
-    rng = np.random.default_rng(rng_seed)
-    d = rng.standard_normal((n_samples, pss.dim))
-    norms = np.linalg.norm(d, axis=1, keepdims=True)
-    # Degenerate zero draws are astronomically unlikely; guard anyway.
-    norms[norms == 0.0] = 1.0
-    d /= norms
-    inner = pss.directions @ d.T
-    return bool(np.all(inner.max(axis=0) > 0.0))

@@ -20,7 +20,7 @@ from dcboost.bench import run_pairwise_mssc, run_table1
 from dcboost.cli import main as cli_main
 from dcboost.core import Termination
 from dcboost.solvers import check_d_stationarity, run_bdca, run_bdca_plus, run_dca
-from dcboost.spanning import check_positive_spanning
+from test_spanning import sums_to_zero_and_spans
 
 TABLE1_STARTS = 10_000
 TABLE1_SEED = 0
@@ -193,7 +193,7 @@ def test_criterion_6_spanning_sets():
     relations_ok = worst_dot <= 1e-12 and worst_norm <= 1e-12
 
     spanning_ok = all(
-        check_positive_spanning(make(m), 10_000, rng_seed=123)
+        sums_to_zero_and_spans(make(m).directions)
         for make in (make_d1, make_d2, make_d3)
         for m in range(1, 21)
     )

@@ -24,7 +24,7 @@ from dcboost import (
 from dcboost.bench import PairRow, StartSummary, run_pairwise_mssc, run_table1
 from dcboost.core import Record, RunResult, Termination, as_point, norm
 from dcboost.problems.mssc import generate_blobs
-from dcboost.spanning import check_positive_spanning, make_d1, make_d2, make_d3
+from dcboost.spanning import make_d1, make_d2, make_d3
 
 
 def test_eval_phi_example2d_origin(example2d):
@@ -133,7 +133,6 @@ COUNTS = {
     "m (d1)": make_d1,
     "m (d2)": make_d2,
     "m (d3)": make_d3,
-    "n_samples": lambda v: check_positive_spanning(make_d1(2), v, 0),
     "n_starts (table1)": lambda v: run_table1(v, 0),
     "n_starts (pairwise)": lambda v: run_pairwise_mssc(Example2dProblem(), v, 0),
     "workers": lambda v: run_table1(1, 0, workers=v),

@@ -25,11 +25,11 @@ def test_readme_python_blocks_run_in_order():
     assert len(namespace["pairs"].pairs) == 2
 
 
-def _readme_commands() -> list[str]:
-    """The ``dcboost ...`` lines of the "Command line" section's shell
-    block, with ``\\`` continuations joined."""
-    section = README.read_text().split("## Command line", 1)[1]
-    block = re.search(r"^```bash\n(.*?)^```", section, re.M | re.S).group(1)
+def _readme_commands(section: str = "Command line") -> list[str]:
+    """The ``dcboost ...`` lines of the first shell block of ``section``,
+    with ``\\`` continuations joined."""
+    text = README.read_text().split(f"## {section}\n", 1)[1]
+    block = re.search(r"^```bash\n(.*?)^```", text, re.M | re.S).group(1)
     lines = block.replace("\\\n", " ").splitlines()
     return [line for line in lines if line.startswith("dcboost ")]
 
@@ -46,3 +46,12 @@ def test_readme_command_lines_parse(line):
         build_parser().parse_args(shlex.split(line)[1:])
     except SystemExit:
         pytest.fail(f"README command does not parse: {line}")
+
+
+def test_what_reproduces_runs_the_pinned_experiment():
+    # tests/test_claims.py pins the table this command writes.
+    (line,) = _readme_commands("What reproduces")
+    args = build_parser().parse_args(shlex.split(line)[1:])
+    assert (args.command, args.starts, args.seed, args.lambda_bar1, args.pss) == (
+        "table1", 2000, 0, 0.5, "d1"
+    )

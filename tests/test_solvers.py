@@ -350,7 +350,7 @@ def _rejected(caplog, what: str) -> int:
 def test_a_probe_that_overflows_is_rejected_not_blamed(example2d, caplog):
     # The first probe, 2.00001e155 along the first direction, overflows
     # the objective of a correct problem.
-    pss = PositiveSpanningSet(2, np.array([[1e154, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
+    pss = PositiveSpanningSet(np.array([[1e154, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
     with caplog.at_level("WARNING"):
         res = run_bdca_plus(example2d, np.array([0.3, 0.7]), pss)
     assert res.termination is Termination.D_STATIONARY_CERTIFIED

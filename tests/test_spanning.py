@@ -1,15 +1,24 @@
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
 
-from dcboost import (
-    PositiveSpanningSet,
-    check_positive_spanning,
-    make_d1,
-    make_d2,
-    make_d3,
-)
+from dcboost import PositiveSpanningSet, make_d1, make_d2, make_d3
+from dcboost.spanning import make_pss
+
+
+def sums_to_zero_and_spans(dirs: np.ndarray) -> bool:
+    """Whether the rows span R^m and sum to zero, which certifies exactly
+    that they positively span R^m: a set does when it spans R^m and some
+    strictly positive combination of it is zero (Kolda, Lewis & Torczon
+    2003, "Optimization by direct search"), and the plain sum is one.
+    D1, D2 and D3 all sum to zero."""
+    m = dirs.shape[1]
+    return bool(
+        np.linalg.matrix_rank(dirs) == m and np.max(np.abs(dirs.sum(axis=0))) <= 1e-12
+    )
 
 
 def test_d1_planar_order():
@@ -92,39 +101,55 @@ def test_cardinalities():
         assert len(make_d3(m).directions) == m + 1
 
 
-def test_positive_spanning_sampled_pass():
-    assert check_positive_spanning(make_d1(3), 10000, rng_seed=5)
-    assert check_positive_spanning(make_d3(4), 10000, rng_seed=5)
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 20])
+@pytest.mark.parametrize("kind", ["d1", "d2", "d3"])
+def test_positive_spanning_exact_certificate(kind, m):
+    assert sums_to_zero_and_spans(make_pss(kind, m).directions)
 
 
 def test_positive_spanning_detects_halfspace_set():
     # {e1, e2, (e1 + e2)/sqrt(2)} cannot produce anything in the open
-    # third quadrant.
+    # third quadrant: d = (-1, -1) makes a negative inner product with
+    # every direction, so no nonnegative combination reaches d.
     r = np.sqrt(0.5)
-    pss = PositiveSpanningSet(2, np.array([[1.0, 0.0], [0.0, 1.0], [r, r]]))
-    assert not check_positive_spanning(pss, 10000, rng_seed=5)
+    pss = PositiveSpanningSet(np.array([[1.0, 0.0], [0.0, 1.0], [r, r]]))
+    assert not sums_to_zero_and_spans(pss.directions)
+    assert np.all(pss.directions @ np.array([-1.0, -1.0]) < 0.0)
 
 
 def test_constructor_validation():
     with pytest.raises(ValueError, match="nonzero"):
-        PositiveSpanningSet(2, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        PositiveSpanningSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     # A positive spanning set of R^m has at least m + 1 directions.
     for rows in (np.empty((0, 2)), np.array([[1.0, 0.0], [-1.0, 0.0]])):
         with pytest.raises(ValueError, match="at least 3 directions"):
-            PositiveSpanningSet(2, rows)
-    with pytest.raises(ValueError):
-        PositiveSpanningSet(3, np.array([[1.0, 0.0]]))
+            PositiveSpanningSet(rows)
+    with pytest.raises(ValueError, match="array"):
+        PositiveSpanningSet(np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         make_d1(0)
     # 1e308 is finite, but its norm overflows.
     for bad in (float("inf"), float("nan"), 1e308):
         with pytest.raises(ValueError, match="finite"):
-            PositiveSpanningSet(2, np.array([[bad, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
-    with pytest.raises(ValueError):
-        check_positive_spanning(make_d1(2), 0, rng_seed=1)
+            PositiveSpanningSet(np.array([[bad, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
 
 
 def test_directions_immutable():
     pss = make_d1(2)
     with pytest.raises(ValueError):
         pss.directions[0, 0] = 5.0
+
+
+def test_set_copies_its_directions_and_compares_by_identity():
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    pss = PositiveSpanningSet(a)
+    assert pss.dim == 2 and pss.kind == "custom"
+    assert a.flags.writeable
+    a[0] = 0.0
+    assert np.array_equal(pss.directions, make_d2(2).directions)
+    for twin in (pickle.loads(pickle.dumps(pss)), copy.copy(pss), copy.deepcopy(pss)):
+        assert not twin.directions.flags.writeable
+        assert np.array_equal(twin.directions, pss.directions)
+    assert make_d1(2) != make_d1(2)
+    assert pss == pss
+    assert len({make_d1(2), make_d1(2), pss}) == 3
