@@ -40,8 +40,9 @@ from __future__ import annotations
 import logging
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -66,7 +67,6 @@ from dcboost.core import (
 from dcboost.spanning import PositiveSpanningSet, make_d1
 
 __all__ = [
-    "SelfAdaptiveState",
     "DfoState",
     "DfoOutcome",
     "StationarityReport",
@@ -84,28 +84,6 @@ log = logging.getLogger(__name__)
 
 _LAMBDA_FLOOR = 1e-14
 _MAX_SHRINKS = 200
-
-
-@dataclass
-class SelfAdaptiveState:
-    """Memory of the last two line searches for the trial-step rule.
-
-    ``k`` counts line-search invocations; accepted steps never exceed
-    their trials.
-    """
-
-    lambda_prev: float = 0.0
-    lambda_prev2: float = 0.0
-    trial_prev: float = 0.0
-    trial_prev2: float = 0.0
-    k: int = 0
-
-    def advance(self, lambda_k: float, trial_k: float) -> None:
-        self.lambda_prev2 = self.lambda_prev
-        self.trial_prev2 = self.trial_prev
-        self.lambda_prev = lambda_k
-        self.trial_prev = trial_k
-        self.k += 1
 
 
 @dataclass
@@ -256,28 +234,25 @@ def armijo_backtrack(
 
 
 def next_trial_step(
-    state: SelfAdaptiveState, gamma: float, lambda_bar1: float
+    searches: Sequence[tuple[float, float]], gamma: float, lambda_bar1: float
 ) -> float:
-    """Self-adaptive trial step for the line search.
+    """Self-adaptive trial step for the next line search.
 
-    The first invocation tries 0 (plain DC step), the second tries
-    ``lambda_bar1``.  Afterwards the previous accepted step is reused,
-    doubled by ``gamma`` whenever the last two line searches accepted
-    their trials without any backtracking (checked by exact float
-    equality, which is precisely "the shrink loop never ran").
+    ``searches`` holds the run's last two line searches as (accepted step,
+    trial) pairs, oldest first.  Before any search the trial is 0 (plain DC
+    step), after one it is ``lambda_bar1``.  Afterwards the last accepted
+    step is reused, grown by ``gamma`` whenever both searches accepted a
+    positive trial without backtracking (checked by exact float equality,
+    which is precisely "the shrink loop never ran").
     """
-    if state.k == 0:
+    if not searches:
         return 0.0
-    if state.k == 1:
+    if len(searches) == 1:
         return float(lambda_bar1)
-    if (
-        state.lambda_prev2 == state.trial_prev2
-        and state.lambda_prev == state.trial_prev
-        and state.trial_prev2 > 0.0
-        and state.trial_prev > 0.0
-    ):
-        return gamma * state.lambda_prev
-    return state.lambda_prev
+    (lam2, trial2), (lam1, trial1) = searches[-2], searches[-1]
+    if lam2 == trial2 and lam1 == trial1 and trial2 > 0.0 and trial1 > 0.0:
+        return gamma * lam1
+    return lam1
 
 
 # Relative accept guard for the direct-search probe, in units of the
@@ -354,7 +329,7 @@ def _drive(
         params = SolverParams()
     x = as_point(np.array(x0, dtype=float), problem.dim)
     phi_x = eval_phi(problem, x)
-    state = SelfAdaptiveState()
+    searches: deque[tuple[float, float]] = deque(maxlen=2)
     dfo_state = DfoState(mu=params.mu_bar)
     records: list[IterationRecord] = []
     termination: Optional[Termination] = None
@@ -367,11 +342,11 @@ def _drive(
         # math.sqrt(dd) has the bits of norm(d).
         if math.sqrt(dd) > params.eps1:
             if boost:
-                trial = next_trial_step(state, params.gamma, params.lambda_bar1)
+                trial = next_trial_step(searches, params.gamma, params.lambda_bar1)
                 lam, phi_next, x_next = _armijo(
                     problem, y, d, phi_y, trial, params.alpha, params.beta1, dd
                 )
-                state.advance(lam, trial)
+                searches.append((lam, trial))
         elif pss is None:
             termination = Termination.CRITICAL_POINT
         else:

@@ -1,5 +1,5 @@
-"""Acceptance suite: one test per release criterion, each printing a
-PASS/FAIL verdict line (run with ``pytest tests/test_acceptance.py -s``
+"""Acceptance suite: one test per release criterion (two for criterion 8),
+each printing a PASS/FAIL verdict line (run with ``pytest tests/test_acceptance.py -s``
 to see them).  Tolerances are pinned here and nowhere else."""
 
 import numpy as np
@@ -16,7 +16,7 @@ from dcboost import (
     make_d3,
     validate_problem,
 )
-from dcboost.bench import run_pairwise_mssc, run_table1
+from dcboost.bench import draw_start, run_pairwise_mssc, run_table1
 from dcboost.cli import main as cli_main
 from dcboost.core import Termination
 from dcboost.solvers import check_d_stationarity, run_bdca, run_bdca_plus, run_dca
@@ -256,6 +256,39 @@ def test_criterion_8_oracle_cross_checks():
         identity_ok and residual_ok and grad_ok,
         "; ".join(grad_details),
     )
+
+
+def _h_from_its_definition(problem, x):
+    """h(X) = (1/n) sum_i (sum_j ||a_i - x_j||^2 - min_j ||a_i - x_j||^2)
+    + (rho/2) ||X||^2, with every distance a direct difference over the
+    full n-by-k matrix rather than the solver's expansion."""
+    a = problem.data.points
+    c = np.asarray(x, dtype=float).reshape(problem.k, -1)
+    d = sum((a[:, t, None] - c[None, :, t]) ** 2 for t in range(a.shape[1]))
+    return float((d.sum(axis=1) - d.min(axis=1)).mean() + 0.5 * problem.rho * np.dot(x, x))
+
+
+def test_criterion_8_h_matches_its_definition():
+    # Criterion 8's identity check reads h through g - h; this reference
+    # does not.  Each start is a whole pass; four D1 probes around it, at
+    # radii 1 down to 1e-4, move one centroid each (the probe path) and
+    # take every direction in turn across the starts.
+    details = []
+    worst = 0.0
+    for blobs, k, starts in (((4, 200), 8, 200), ((3, 30), 4, 200), ((16, 1250), 16, 20)):
+        problem = MsscProblem(generate_blobs(*blobs), k)
+        dirs = make_d1(problem.dim).directions
+        gap = 0.0
+        for i in range(starts):
+            y = draw_start(problem, 7, i)
+            mu = 10.0 ** -(i % 5)
+            probes = [y + mu * dirs[j % len(dirs)] for j in range(4 * i, 4 * i + 4)]
+            for x in [y, *probes]:
+                ref = _h_from_its_definition(problem, x)
+                gap = max(gap, abs(problem.eval_h(x) - ref) / ref)
+        worst = max(worst, gap)
+        details.append(f"{blobs[0]}x{blobs[1]} k={k}: {gap:.1e}")
+    _verdict(8, "h from its definition", worst <= 1e-9, "; ".join(details))
 
 
 def test_criterion_9_byte_determinism(tmp_path):

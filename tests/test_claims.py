@@ -4,8 +4,9 @@ DCA and BDCA stop at critical points, which need not be d-stationary;
 BDCA+ escapes them along a positive spanning set and certifies the one
 d-stationary point, (-1, -1), with each bundled set.  At the default
 ``lambda_bar1 = 10`` BDCA's line search already carries every start to
-(-1, -1), so the escape is exercised at ``lambda_bar1 = 0.5``.  README
-"What reproduces" quotes these numbers.
+(-1, -1), so the escape is exercised at ``lambda_bar1 = 0.5``; at 1 and 2
+BDCA misses on none and on 18 starts.  README "What reproduces" quotes
+these numbers.
 """
 
 from collections import Counter
@@ -76,3 +77,22 @@ def test_at_the_default_step_bdca_reaches_the_minimum_and_nothing_escapes():
     assert report.basin_counts["BDCA"][MINIMUM] == STARTS
     assert report.basin_counts["BDCA+"][MINIMUM] == STARTS
     assert all(s.dfo_invocations == 1 for s in report.runs["BDCA+"])
+
+
+# BDCA's end points on D1 by first trial step: its misses do not fall
+# monotonically in lambda_bar1 (761 at 0.5, 0 at 1, 18 at 2, 0 at 10).
+SWEEP = {
+    1.0: {"(-1,-1)": 2000, "(-1,0)": 0, "(0,-1)": 0, "(0,0)": 0, "unclassified": 0},
+    2.0: {"(-1,-1)": 1982, "(-1,0)": 9, "(0,-1)": 9, "(0,0)": 0, "unclassified": 0},
+}
+
+
+@pytest.mark.parametrize("lambda_bar1", sorted(SWEEP))
+def test_bdca_plus_escapes_once_from_each_bdca_miss(lambda_bar1):
+    report = run_table1(STARTS, SEED, SolverParams(lambda_bar1=lambda_bar1))
+    assert report.basin_counts["BDCA"] == SWEEP[lambda_bar1]
+    assert report.basin_counts["BDCA+"][MINIMUM] == STARTS
+    for bdca, plus in zip(report.runs["BDCA"], report.runs["BDCA+"]):
+        assert plus.termination is Termination.D_STATIONARY_CERTIFIED
+        # One call certifies; a second is the escape from BDCA's miss.
+        assert plus.dfo_invocations == (1 if bdca.label == MINIMUM else 2)

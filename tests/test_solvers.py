@@ -18,7 +18,6 @@ from dcboost import solvers
 from dcboost.core import Termination
 from dcboost.solvers import (
     DfoState,
-    SelfAdaptiveState,
     armijo_backtrack,
     check_d_stationarity,
     dca_step,
@@ -192,45 +191,43 @@ def test_a_line_search_fallback_turns_bdca_into_dca_and_says_so(example2d, caplo
 # ---------------------------------------------------------------- trial rule
 
 
-def test_trial_starts_at_zero():
-    assert next_trial_step(SelfAdaptiveState(), 2.0, 10.0) == 0.0
+@pytest.mark.parametrize(
+    "searches, trial",
+    [
+        ([], 0.0),
+        ([(0.0, 0.0)], 10.0),
+        ([(10.0, 10.0), (20.0, 20.0)], 40.0),
+        ([(10.0, 10.0), (0.625, 10.0)], 0.625),
+        ([(2.5, 10.0), (10.0, 10.0)], 10.0),
+        ([(0.0, 0.0), (10.0, 10.0)], 10.0),
+    ],
+    ids=[
+        "starts-at-zero",
+        "second-uses-lambda-bar1",
+        "grows-after-two-clean-accepts",
+        "copies-after-backtracking",
+        "copies-after-older-backtracking",
+        "requires-positive-history",
+    ],
+)
+def test_trial_rule(searches, trial):
+    # (accepted step, trial) pairs, oldest first; gamma 2, lambda_bar1 10.
+    assert next_trial_step(searches, 2.0, 10.0) == trial
 
 
-def test_trial_second_invocation_uses_lambda_bar1():
-    state = SelfAdaptiveState()
-    state.advance(0.0, 0.0)
-    assert next_trial_step(state, 2.0, 10.0) == 10.0
+def test_bdca_reads_the_last_two_line_searches(example2d, monkeypatch):
+    seen = []
 
+    def spy(searches, gamma, lambda_bar1):
+        seen.append(list(searches))
+        return next_trial_step(searches, gamma, lambda_bar1)
 
-def test_trial_grows_after_two_clean_accepts():
-    state = SelfAdaptiveState(
-        lambda_prev=20.0, trial_prev=20.0, lambda_prev2=10.0, trial_prev2=10.0, k=3
-    )
-    assert next_trial_step(state, 2.0, 10.0) == 40.0
-
-
-def test_trial_copies_after_backtracking():
-    state = SelfAdaptiveState(
-        lambda_prev=0.625, trial_prev=10.0, lambda_prev2=10.0, trial_prev2=10.0, k=3
-    )
-    assert next_trial_step(state, 2.0, 10.0) == 0.625
-
-
-def test_trial_requires_positive_history():
-    # A zero trial in the window (e.g. the very first iteration) blocks growth.
-    state = SelfAdaptiveState(
-        lambda_prev=10.0, trial_prev=10.0, lambda_prev2=0.0, trial_prev2=0.0, k=2
-    )
-    assert next_trial_step(state, 2.0, 10.0) == 10.0
-
-
-def test_state_advance_shifts_window():
-    state = SelfAdaptiveState()
-    state.advance(1.0, 2.0)
-    state.advance(3.0, 4.0)
-    assert (state.lambda_prev2, state.trial_prev2) == (1.0, 2.0)
-    assert (state.lambda_prev, state.trial_prev) == (3.0, 4.0)
-    assert state.k == 2
+    monkeypatch.setattr(solvers, "next_trial_step", spy)
+    res = run_bdca(example2d, np.array([0.3, 0.7]))
+    done = [(r.lambda_k, r.lambda_trial) for r in res.iterations]
+    assert len(seen) == res.n_iterations - 1  # no line search at the final stop
+    assert len(seen) > 3
+    assert seen == [done[max(0, i - 2):i] for i in range(len(seen))]
 
 
 # ---------------------------------------------------------------- dfo escape
@@ -303,7 +300,7 @@ def test_run_dca_records_pure_steps(example2d):
 def test_bdca_with_zero_trials_reproduces_dca_bitwise(example2d, monkeypatch):
     x0 = np.array([0.37, -1.21])
     plain = run_dca(example2d, x0)
-    monkeypatch.setattr(solvers, "next_trial_step", lambda state, g, l1: 0.0)
+    monkeypatch.setattr(solvers, "next_trial_step", lambda searches, g, l1: 0.0)
     forced = run_bdca(example2d, x0)
     assert plain.n_iterations == forced.n_iterations
     assert np.array_equal(plain.final_point, forced.final_point)
