@@ -26,7 +26,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -197,28 +196,19 @@ def _row_sum_paths(plan: list[tuple[int, int]], k: int) -> list[list[tuple[int, 
     return paths
 
 
-class _PointEval(NamedTuple):
-    """What the oracles read at one point."""
-
-    dists: np.ndarray  # (n, k) squared distances
-    row_sums: np.ndarray  # dists.sum(axis=1)
-    row_min: np.ndarray  # dists.min(axis=1)
-    total: float  # dists.sum()
-    reg: float  # (rho/2) * ||x||^2
-
-
 class _Workspace:
     """One thread's buffers, rewritten in place for every new point.  The
-    oracles read ``entry`` at ``key`` (None while buffers are written);
-    ``base_key`` is the base's (see :class:`MsscProblem`).  ``cols``
-    holds the base's distances by centroid; ``dists`` holds them by data
-    point, but in column ``col``, where a probe wrote its own.  Row sums
-    and minima keep the base's in row 0 and a probe's in row 1;
-    ``labels`` are the base's once ``labeled``."""
+    solve path's oracles read them at ``key`` (None while they are
+    written): ``total``, ``reg`` = (rho/2)||x||^2 and row ``side`` of the
+    row sums and minima; ``base_key`` is the base's (see
+    :class:`MsscProblem`).  ``cols`` holds the base's distances by
+    centroid; ``dists`` holds them by data point, but in column ``col``,
+    where a probe wrote its own.  Row sums and minima keep the base's in
+    row 0 and a probe's in row 1; ``labels`` are the base's once ``labeled``."""
 
     def __init__(self, n: int, k: int):
-        self.key = self.base_key = self.entry = None
-        self.side = 0  # the buffers' row that holds ``entry``
+        self.key = self.base_key = self.total = self.reg = None
+        self.side = 0
         self.col, self.labeled = None, False
         self.cols, self.dists = np.empty((k, n)), np.empty((n, k))
         self.labels = np.empty(n, dtype=np.intp)
@@ -231,10 +221,6 @@ class _Workspace:
         # partial row sums below the row sum, and 0.0 last.
         self.operands = [*self.cols, *np.empty((max(k - 2, 0), n)), 0.0]
         self.second_min, self.other_min = np.empty(n), np.empty(n)  # see _build_base
-        views = [a.view() for a in (self.dists, self.row_sums, self.row_min)]
-        for v in views:
-            v.flags.writeable = False
-        self.views = [(views[0], *(v[i] for v in views[1:])) for i in (0, 1)]
 
 
 class MsscProblem(DcProblem):
@@ -243,11 +229,13 @@ class MsscProblem(DcProblem):
     The decision vector concatenates the k centroids; ``dim`` is
     ``k * data.dim_space``.  ``rho`` defaults to ``1 / (n * k)``.
 
-    The oracles at one point share one pass over the data.  Each thread
-    that calls the instance gets its own buffers, which hold the squared
-    distances, the nearest-centroid labels, the row sums and minima of
-    the last point it saw, keyed by that point's float64 bytes, and which
-    every new point rewrites in place.  Every result is bit-identical to a
+    ``eval_g``, ``eval_h`` and ``subgrad_h`` at one point share one pass
+    over the data; ``dir_deriv_h`` and ``phi_direct``, which check them,
+    compute from the data alone.  Each thread that calls the instance
+    gets its own buffers, which hold the squared distances, the
+    nearest-centroid labels, the row sums and minima of the last point
+    it saw, keyed by that point's float64 bytes, and which every new
+    point rewrites in place.  Every result is bit-identical to a
     fresh instance's, and threads never share a buffer, so a shared
     instance stays safe.
 
@@ -453,13 +441,13 @@ class MsscProblem(DcProblem):
         j = next(moved, None)
         return j if next(moved, None) is None else None
 
-    def _at(self, x: Point, labels: bool = False) -> tuple[np.ndarray, _PointEval]:
-        """Centroids at ``x`` and everything the oracles read there, as
-        read-only views of the calling thread's buffers (valid until its
-        next call at another point); the last point's buffers are reused,
-        a probe is evaluated from the base, and any other point, the
-        base's own included, takes a whole pass.  With ``labels``, the
-        point is the base, its labels written: a probe takes a whole pass."""
+    def _at(self, x: Point, labels: bool = False) -> tuple[np.ndarray, _Workspace]:
+        """Centroids at ``x`` and the calling thread's buffers, which hold
+        ``x`` (until its next call at another point); the last point's
+        buffers are reused, a probe is evaluated from the base, and any
+        other point, the base's own included, takes a whole pass.  With
+        ``labels``, the point is the base, its labels written: a probe
+        takes a whole pass."""
         c = self._centroids(x)
         key = c.tobytes()
         ws = self._workspace()
@@ -474,25 +462,24 @@ class MsscProblem(DcProblem):
             whole = total is None
             if whole:
                 total = self._sq_dists(c)
-            reg = 0.5 * self.rho * sq_norm(c.ravel())
+            ws.total, ws.reg = total, 0.5 * self.rho * sq_norm(c.ravel())
             ws.side = 0 if whole else 1
-            ws.entry = _PointEval(*ws.views[ws.side], total, reg)
             if whole and math.isfinite(total):
                 ws.base_key = key
             ws.key = key
         if labels and not ws.labeled:
             self._label(ws)
-        return c, ws.entry
+        return c, ws
 
     def eval_g(self, x: Point) -> float:
-        e = self._at(x)[1]
-        return e.total / self.data.n + e.reg
+        ws = self._at(x)[1]
+        return ws.total / self.data.n + ws.reg
 
     def eval_h(self, x: Point) -> float:
-        e = self._at(x)[1]
+        ws = self._at(x)[1]
         # max_j of the sum with term j dropped = row sum - row min.
-        row = np.subtract(e.row_sums, e.row_min, out=self._workspace().row)
-        return float(row.sum()) / self.data.n + e.reg
+        row = np.subtract(ws.row_sums[ws.side], ws.row_min[ws.side], out=ws.row)
+        return float(row.sum()) / self.data.n + ws.reg
 
     def grad_g(self, x: Point) -> Point:
         c = self._centroids(x)
@@ -501,8 +488,8 @@ class MsscProblem(DcProblem):
 
     def subgrad_h(self, x: Point) -> Point:
         # argmax_j of the dropped-term sum = nearest centroid.
-        c = self._at(x, labels=True)[0]
-        labels = self._workspace().labels  # writeable: bincount copies none
+        c, ws = self._at(x, labels=True)
+        labels = ws.labels  # writeable: bincount copies none
         counts = np.bincount(labels, minlength=self.k)
         sums = np.empty_like(c)
         for dim, coords in enumerate(self._a_t):
@@ -523,14 +510,20 @@ class MsscProblem(DcProblem):
         ub = self._centroids(u)
         return ((ub + self._two_mean) / self._two_plus_rho).ravel()
 
+    def _direct_sq_dists(self, c: np.ndarray) -> np.ndarray:
+        """The n-by-k squared distances by direct differences, from the
+        data alone: the checks below read none of the solve path's buffers."""
+        pairs = zip(self._a.T, c.T)
+        return sum(np.square(np.subtract.outer(a_t, c_t)) for a_t, c_t in pairs)
+
     def dir_deriv_h(self, x: Point, d: Point) -> float:
         """Exact one-sided directional derivative of h.
 
         At ties of the inner max the derivative is the max over the tied
         smooth branches (tie detection uses exact float equality).
         """
-        c, e = self._at(x)
-        db = self._centroids(d)
+        c, db = self._centroids(x), self._centroids(d)
+        dists = self._direct_sq_dists(c)
         # Branch j of point i (its sum with term j dropped) is active where
         # centroid j is nearest; its derivative is G_i - c_ij with the
         # per-centroid terms below.  Ties are found on the distances: the
@@ -539,14 +532,14 @@ class MsscProblem(DcProblem):
         cross = self._a @ db.T  # <a_i, d_j>
         per_branch = 2.0 * (block_dot[None, :] - cross)  # c_ij
         total = per_branch.sum(axis=1)  # G_i
-        ties = e.dists == e.row_min[:, None]
+        ties = dists == dists.min(axis=1, keepdims=True)
         deriv = np.where(ties, total[:, None] - per_branch, -np.inf).max(axis=1)
         x = np.asarray(x)
         return float(deriv.sum() / self.data.n + self.rho * np.dot(x, d))
 
     def phi_direct(self, x: Point) -> float:
         """Mean squared distance to the nearest centroid (for cross-checks)."""
-        return float(self._at(x)[1].row_min.mean())
+        return float(self._direct_sq_dists(self._centroids(x)).min(axis=1).mean())
 
     def sample_start(self, rng: np.random.Generator) -> Point:
         """Random centroid configuration, uniform in the data bounding box."""

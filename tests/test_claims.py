@@ -1,20 +1,33 @@
-"""The paper's claims on the 2-D example, pinned as facts at fixed seeds.
+"""The paper's claims, pinned as facts at fixed seeds.
 
-DCA and BDCA stop at critical points, which need not be d-stationary;
-BDCA+ escapes them along a positive spanning set and certifies the one
-d-stationary point, (-1, -1), with each bundled set.  At the default
-``lambda_bar1 = 10`` BDCA's line search already carries every start to
-(-1, -1), so the escape is exercised at ``lambda_bar1 = 0.5``; at 1 and 2
-BDCA misses on none and on 18 starts.  README "What reproduces" quotes
-these numbers.
+On the 2-D example, DCA and BDCA stop at critical points, which need not
+be d-stationary; BDCA+ escapes them along a positive spanning set and
+certifies the one d-stationary point, (-1, -1), with each bundled set.
+At the default ``lambda_bar1 = 10`` BDCA's line search already carries
+every start to (-1, -1), so the escape is exercised at
+``lambda_bar1 = 0.5``; at 1 and 2 BDCA misses on none and on 18 starts.
+
+On clustering, the first-order test accepts every DCA and BDCA endpoint
+of the starts below, so BDCA+'s lower objective comes from moving empty
+or misplaced centroids, not from escaping a point that is not
+d-stationary.  README "What reproduces" quotes these numbers.
 """
 
 from collections import Counter
 
 import pytest
 
-from dcboost import Example2dProblem, SolverParams, make_d1
-from dcboost.bench import run_table1
+from dcboost import (
+    Example2dProblem,
+    MsscProblem,
+    SolverParams,
+    generate_blobs,
+    make_d1,
+    run_bdca,
+    run_bdca_plus,
+    run_dca,
+)
+from dcboost.bench import draw_start, run_table1
 from dcboost.core import Termination
 from dcboost.solvers import check_d_stationarity
 from dcboost.spanning import PSS_KINDS
@@ -96,3 +109,70 @@ def test_bdca_plus_escapes_once_from_each_bdca_miss(lambda_bar1):
         assert plus.termination is Termination.D_STATIONARY_CERTIFIED
         # One call certifies; a second is the escape from BDCA's miss.
         assert plus.dfo_invocations == (1 if bdca.label == MINIMUM else 2)
+
+
+# Clustering: 4x200 blobs, starts draw_start(problem, 0, i) for i = 0..5,
+# default parameters, D1.  Empty clusters per start: centroids that no
+# data point is nearest to.
+EMPTY = {
+    8: {"DCA": [3, 3, 3, 3, 3, 5], "BDCA": [3, 2, 3, 3, 3, 5], "BDCA+": [0] * 6},
+    4: {"DCA": [0, 0, 2, 2, 0, 2], "BDCA": [0, 0, 2, 2, 0, 2], "BDCA+": [0] * 6},
+}
+CLUSTER_SOLVERS = {"DCA": run_dca, "BDCA": run_bdca, "BDCA+": run_bdca_plus}
+
+
+def _empty_clusters(problem, point):
+    a = problem.data.points
+    d = ((a[:, None, :] - point.reshape(problem.k, -1)[None, :, :]) ** 2).sum(axis=2)
+    nearest = d == d.min(axis=1)[:, None]
+    return int(problem.k - nearest.any(axis=0).sum())
+
+
+@pytest.fixture(scope="module")
+def cluster_runs():
+    """{k: {algorithm: [(run, passes the D1 check at tol 1e-6, empty clusters)]}}."""
+    data = generate_blobs(4, 200, seed=0)
+    out = {}
+    for k in EMPTY:
+        problem = MsscProblem(data, k)
+        d1 = make_d1(problem.dim)
+        out[k] = {}
+        for name, run in CLUSTER_SOLVERS.items():
+            rows = []
+            for i in range(6):
+                res = run(problem, draw_start(problem, 0, i))
+                x = res.final_point
+                check = check_d_stationarity(problem, x, d1, tol=1e-6)
+                rows.append((res, check.is_d_stationary, _empty_clusters(problem, x)))
+            out[k][name] = rows
+    return out
+
+
+@pytest.mark.parametrize("k", sorted(EMPTY))
+def test_dca_and_bdca_cluster_endpoints_pass_the_first_order_check(cluster_runs, k):
+    for name in ("DCA", "BDCA"):
+        rows = cluster_runs[k][name]
+        assert all(passed for _, passed, _ in rows), name
+        assert [empty for _, _, empty in rows] == EMPTY[k][name], name
+
+
+def test_bdca_plus_moves_the_empty_centroids_at_k8(cluster_runs):
+    runs = cluster_runs[8]
+    assert [empty for _, _, empty in runs["BDCA+"]] == EMPTY[8]["BDCA+"]
+    assert [res.dfo_invocations for res, _, _ in runs["BDCA+"]] == [4, 3, 5, 4, 4, 6]
+    for (plus, passed, _), (dca, _, _) in zip(runs["BDCA+"], runs["DCA"]):
+        assert plus.termination is Termination.D_STATIONARY_CERTIFIED and passed
+        assert plus.final_phi < dca.final_phi
+
+
+def test_bdca_plus_ends_at_one_objective_from_every_start_at_k4(cluster_runs):
+    runs = cluster_runs[4]
+    best = 1.941868
+    plus = [res.final_phi for res, _, _ in runs["BDCA+"]]
+    assert all(abs(phi - best) < 1e-6 for phi in plus)
+    assert max(plus) - min(plus) < 1e-9
+    for res, passed, _ in runs["BDCA+"]:
+        assert res.termination is Termination.D_STATIONARY_CERTIFIED and passed
+    above = [res.final_phi > best + 1e-6 for res, _, _ in runs["DCA"]]
+    assert above == [False, True, True, True, True, True]
+    assert abs(runs["DCA"][0][0].final_phi - best) < 1e-6

@@ -562,9 +562,10 @@ def test_shared_instance_across_threads_matches_sequential_runs():
 # The whole pass by centroid: same bits as the whole-matrix formulas.
 
 
-def _whole_matrix_oracles(problem, x, direction):
-    """The five point oracles as plain formulas on one full n-by-k matrix
-    ``a @ c.T``."""
+def _whole_matrix_oracles(problem, x):
+    """The solve path's point oracles as plain formulas on one full n-by-k
+    matrix ``a @ c.T`` (``dir_deriv_h`` and ``phi_direct`` compute from
+    the data instead: see :func:`_direct_reference`)."""
     a = problem.data.points
     n, k, s = problem.data.n, problem.k, problem.data.dim_space
     c = np.asarray(x, dtype=float).reshape(k, s)
@@ -588,18 +589,10 @@ def _whole_matrix_oracles(problem, x, direction):
         - (2.0 / n) * (counts[:, None] * c - sums)
         + problem.rho * c
     )
-    db = direction.reshape(k, s)
-    per_branch = 2.0 * (np.einsum("ij,ij->i", c, db)[None, :] - a @ db.T)
-    ties = d == row_min[:, None]  # the active branches: nearest centroids
-    deriv = np.where(ties, per_branch.sum(axis=1)[:, None] - per_branch, -np.inf)
     return d, {
         "eval_g": float(d.sum() / n + reg),
         "eval_h": float((d.sum(axis=1) - row_min).sum() / n + reg),
         "subgrad_h": sub.ravel(),
-        "dir_deriv_h": float(
-            deriv.max(axis=1).sum() / n + problem.rho * np.dot(xa, direction)
-        ),
-        "phi_direct": float(row_min.mean()),
     }
 
 
@@ -622,8 +615,8 @@ def _bits(value):
 def test_blocked_pass_matches_whole_matrix_formulas(
     k, rows, seed, dim_space, scale, hit, tie, integer, huge
 ):
-    """The distance matrix and every oracle have the whole-matrix
-    formulas' bits, at n = 1, 2, 3 and at n around B = 8192 / k rows
+    """The distance matrix and the solve path's oracles have the
+    whole-matrix formulas' bits, at n = 1, 2, 3 and at n around B = 8192 / k rows
     (8192 distances, up to n = 16387 at k = 1), on exact hits, tied
     centroids, an integer-dtype point and a centroid at 1e200 (infinite
     distances) or 1e306 (products that overflow: NaN distances).  k = 9
@@ -644,17 +637,12 @@ def test_blocked_pass_matches_whole_matrix_formulas(
     x = centroids.ravel()
     if integer and huge is None:
         x = np.round(x).astype(np.int64)
-    direction = rng.normal(0.0, 1.0, problem.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        dists, expected = _whole_matrix_oracles(problem, x, direction)
+        dists, expected = _whole_matrix_oracles(problem, x)
         # One element off by an ulp rarely survives into the oracles' sums.
         assert problem._at(x)[1].dists.tobytes() == dists.tobytes(), (n, k)
         for name, value in expected.items():
-            if name == "dir_deriv_h":
-                got = problem.dir_deriv_h(x, direction)
-            else:
-                got = getattr(problem, name)(x)
-            assert _bits(got) == _bits(value), (name, n, k)
+            assert _bits(getattr(problem, name)(x)) == _bits(value), (name, n, k)
 
 
 def test_point_oracles_allocate_one_matrix_per_point():
@@ -687,14 +675,123 @@ def test_point_oracles_allocate_one_matrix_per_point():
 
 
 # ---------------------------------------------------------------------------
+# The checks read the data: dir_deriv_h and phi_direct build their own
+# distances by direct differences, so a fault in the solve path's buffers
+# cannot repeat in them.
+
+
+def _direct_reference(problem, x, direction, ties=None):
+    """h'(x; direction) and phi at ``x`` by their definitions, from
+    ``(a_i - c_j)**2`` summed over coordinates.  Branch j of data point i
+    drops centroid j; the active branches, ``ties`` unless given, drop a
+    nearest centroid."""
+    a = problem.data.points
+    c = np.asarray(x, dtype=float).reshape(problem.k, -1)
+    db = np.asarray(direction, dtype=float).reshape(problem.k, -1)
+    d = ((a[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
+    if ties is None:
+        ties = d == d.min(axis=1)[:, None]
+    terms = 2.0 * ((c[None, :, :] - a[:, None, :]) * db[None, :, :]).sum(axis=2)
+    branches = terms.sum(axis=1)[:, None] - terms
+    deriv = np.where(ties, branches, -np.inf).max(axis=1)
+    x_flat = np.ravel(np.asarray(x, dtype=float))
+    h_prime = deriv.sum() / problem.data.n + problem.rho * np.dot(x_flat, direction)
+    return float(h_prime), float(d.min(axis=1).mean())
+
+
+@pytest.mark.parametrize("dim_space", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_checks_compute_from_the_data_alone(monkeypatch, dim_space, k):
+    """With the solve path's buffers out of reach, ``dir_deriv_h`` and
+    ``phi_direct`` still return, and agree with the direct reference to
+    1e-12 relative at random points."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a check read the solve path's buffers")
+
+    rng = np.random.default_rng(dim_space * 10 + k)
+    box = ((-10.0,) * dim_space, (10.0,) * dim_space)
+    problem = MsscProblem(generate_blobs(4, 30, box=box, seed=k), k)
+    monkeypatch.setattr(MsscProblem, "_at", unreachable)
+    monkeypatch.setattr(MsscProblem, "_workspace", unreachable)
+    for _ in range(10):
+        x = problem.sample_start(rng)
+        direction = rng.normal(0.0, 1.0, problem.dim)
+        h_prime, phi = _direct_reference(problem, x, direction)
+        assert problem.dir_deriv_h(x, direction) == pytest.approx(h_prime, rel=1e-12, abs=0)
+        assert problem.phi_direct(x) == pytest.approx(phi, rel=1e-12, abs=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([1, 2, 3, 5, 8]),
+    copies=st.integers(0, 3),
+    hits=st.integers(0, 3),
+)
+@example(seed=0, k=3, copies=2, hits=2)
+def test_checks_find_the_nearest_centroids_exactly_on_integer_grids(seed, k, copies, hits):
+    """On integer data and centroids, duplicate centroids and centroids on
+    data points included, every distance is exact: ``dir_deriv_h`` has the
+    bits of the reference whose active branches come from exact integer
+    distances, along each D1 direction and an integer one, and
+    ``phi_direct`` is the exact mean rounded once."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    points = rng.integers(-4, 5, (n, 2))
+    c = rng.integers(-4, 5, (k, 2))
+    for _ in range(copies):
+        c[rng.integers(k)] = c[rng.integers(k)]
+    for _ in range(hits):
+        c[rng.integers(k)] = points[rng.integers(n)]
+    exact = ((points[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)  # int64
+    ties = exact == exact.min(axis=1)[:, None]
+    problem = MsscProblem(ClusterData(points), k)
+    x = c.ravel().astype(float)
+    integer = rng.integers(-3, 4, problem.dim).astype(float)
+    for direction in (*make_d1(problem.dim).directions, integer):
+        h_prime = _direct_reference(problem, x, direction, ties)[0]
+        assert _bits(problem.dir_deriv_h(x, direction)) == _bits(h_prime)
+    assert problem.phi_direct(x) == int(exact.min(axis=1).sum()) / n
+
+
+def test_checks_stay_finite_where_the_expansion_overflows():
+    """A centroid at 1e306 beside data of scale 1e3: the expansion
+    ``|a|^2 + |c|^2 - 2 a.c`` of the solve path gives NaN among its
+    distances, while the direct differences give +inf, so ``phi_direct`` is
+    the finite mean over the other centroids, and ``dir_deriv_h`` along a
+    direction that leaves the far centroid is finite too."""
+    rng = np.random.default_rng(0)
+    points = np.round(rng.normal(0.0, 1e3, (50, 2)), 2)
+    problem = MsscProblem(ClusterData(points), 4)
+    c = rng.normal(0.0, 1e3, (4, 2))
+    c[1] = 1e306
+    x = c.ravel()
+    direction = rng.normal(0.0, 1.0, (4, 2))
+    direction[1] = 0.0
+    direction = direction.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        problem.eval_g(x)
+        assert np.isnan(problem._at(x)[1].dists[:, 1]).any()
+        h_prime, phi = _direct_reference(problem, x, direction)
+        got_phi, got_h_prime = problem.phi_direct(x), problem.dir_deriv_h(x, direction)
+    assert np.isfinite(phi) and np.isfinite(h_prime)
+    assert got_phi == pytest.approx(phi, rel=1e-12, abs=0)
+    assert got_h_prime == pytest.approx(h_prime, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
 # Probes: a point that moves one centroid of the last whole pass's point is
 # evaluated from that point's distances, with the bits of a whole pass.
 
 
 def _memo_bits(problem, x):
-    """Bytes of everything the memo entry holds at ``x``, read as the
-    probes' values are, so that a probe is evaluated from the base."""
-    return [np.asarray(v).tobytes() for v in problem._at(x, labels=False)[1]]
+    """Bytes of everything the solve path's oracles read from the buffers
+    at ``x``, read as the probes' values are, so that a probe is evaluated
+    from the base."""
+    ws = problem._at(x, labels=False)[1]
+    values = (ws.dists, ws.row_sums[ws.side], ws.row_min[ws.side], ws.total, ws.reg)
+    return [np.asarray(v).tobytes() for v in values]
 
 
 _move = st.tuples(
@@ -727,7 +824,8 @@ def test_column_updates_match_fresh_instance(k, n, seed, grid, steps):
     D1 probes y +- mu*e_i in the order a direct-search scan makes them and
     the return to y after the scan, at several n, and at k = 1 and 2: the
     memo and every oracle have the bits of a fresh instance and, where
-    finite, of the whole-matrix formulas.  A scan may be centred on a
+    finite, the memo and the solve path's oracles those of the
+    whole-matrix formulas.  A scan may be centred on a
     probe of the last whole pass (a move of one centroid, then a scan).
 
     ``grid`` puts data and centroids on integers, so that equidistant
@@ -766,9 +864,11 @@ def test_column_updates_match_fresh_instance(k, n, seed, grid, steps):
             assert values == oracles(fresh, x)
         if not np.isfinite(shared._at(x)[1].total):
             return
-        dists, expected = _whole_matrix_oracles(shared, x, direction)
+        dists, expected = _whole_matrix_oracles(shared, x)
         assert got[0] == dists.tobytes()
-        assert values == {name: _bits(v) for name, v in expected.items()}
+        assert {name: values[name] for name in expected} == {
+            name: _bits(v) for name, v in expected.items()
+        }
 
     check(y.ravel())
     for step in steps:
