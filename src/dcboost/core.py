@@ -11,12 +11,13 @@ subproblem ``min g(x) - <u, x>``).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -64,12 +65,12 @@ class Termination(str, Enum):
     MAX_ITERATIONS = "MaxIterations"
 
 
-def as_point(x: Sequence[float] | np.ndarray, dim: int | None = None) -> Point:
-    """Coerce to a finite 1-D float64 vector, optionally checking its length."""
+def as_point(x: Sequence[float] | np.ndarray, dim: int) -> Point:
+    """Coerce to a finite 1-D float64 vector of length ``dim``."""
     p = np.asarray(x, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"expected a 1-D point, got shape {p.shape}")
-    if dim is not None and p.shape[0] != dim:
+    if p.shape[0] != dim:
         raise ValueError(f"point has length {p.shape[0]}, expected {dim}")
     if not np.all(np.isfinite(p)):
         raise ValueError("point has non-finite entries")
@@ -353,36 +354,35 @@ class CheckResult:
     name: str
     passed: bool
     max_violation: float
-    detail: str = ""
+    detail: str
 
 
 @dataclass
 class ValidationReport:
     """Result of the numerical contract checks on a problem definition."""
 
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
 
-# Relative step of the central differences in :func:`validate_problem`.
-_FD_STEP = 1e-6
-
-
-def _fd_grad_g(problem: DcProblem, x: Point) -> Point:
-    # Central differences with a per-coordinate step scaled to the point,
-    # balancing truncation against round-off in double precision.
-    grad = np.empty_like(x)
-    for i in range(x.shape[0]):
-        step = _FD_STEP * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        grad[i] = (problem.eval_g(xp) - problem.eval_g(xm)) / (2.0 * step)
-    return grad
+def _verdict(
+    name: str, bound: float, amounts: Iterable[tuple[Any, float]], nowhere: Any = -1
+) -> CheckResult:
+    """One check's result from its (place, amount) pairs: the largest
+    positive amount and its place, or 0.0 at ``nowhere`` when none is
+    positive.  The first NaN amount fails the check at its place, with
+    ``max_violation`` NaN.  A tuple ``nowhere`` makes the places pairs."""
+    worst, at = 0.0, nowhere
+    for where, amount in amounts:
+        if not amount <= worst:  # larger, or NaN
+            worst, at = amount, where
+            if math.isnan(amount):
+                break
+    place = "pair" if isinstance(nowhere, tuple) else "sample index"
+    return CheckResult(name, worst <= bound, worst, f"worst {place} {at}")
 
 
 def validate_problem(problem: DcProblem, samples: Sequence[Point]) -> ValidationReport:
@@ -397,68 +397,42 @@ def validate_problem(problem: DcProblem, samples: Sequence[Point]) -> Validation
       pairs, with 1e-9 slack.
     * ``strong_convexity``: midpoint convexity of ``g - (rho/2)||.||^2``
       over all sample pairs, with 1e-9 slack.
+
+    A check fails at the first sample or pair where its amount is NaN.
     """
     if len(samples) == 0:
         raise ValueError("samples must be nonempty")
     pts = [as_point(s, problem.dim) for s in samples]
-    report = ValidationReport()
 
-    worst = 0.0
-    worst_at = -1
-    for idx, x in enumerate(pts):
-        fd = _fd_grad_g(problem, x)
+    def grad_error(x: Point) -> float:
+        # Central differences with a per-coordinate step of 1e-6 relative to
+        # the point, balancing truncation against round-off in doubles.
+        fd = np.empty_like(x)
+        for i, step in enumerate(1e-6 * (1.0 + np.abs(x))):
+            xp, xm = x.copy(), x.copy()
+            xp[i] += step
+            xm[i] -= step
+            fd[i] = (problem.eval_g(xp) - problem.eval_g(xm)) / (2.0 * step)
         exact = problem.grad_g(x)
-        err = float(np.linalg.norm(fd - exact) / (1.0 + np.linalg.norm(exact)))
-        if err > worst:
-            worst, worst_at = err, idx
-    report.checks.append(
-        CheckResult(
-            "gradient",
-            worst <= 1e-5,
-            worst,
-            f"worst sample index {worst_at}",
-        )
-    )
+        return float(np.linalg.norm(fd - exact) / (1.0 + np.linalg.norm(exact)))
+
+    checks = [_verdict("gradient", 1e-5, ((i, grad_error(x)) for i, x in enumerate(pts)))]
 
     h_vals = np.array([problem.eval_h(x) for x in pts])
     subgrads = [problem.subgrad_h(x) for x in pts]
-    worst = 0.0
-    worst_pair = (-1, -1)
-    for i, x in enumerate(pts):
-        u = subgrads[i]
-        for j, y in enumerate(pts):
-            if i == j:
-                continue
-            gap = h_vals[i] + float(np.dot(u, y - x)) - h_vals[j]
-            if gap > worst:
-                worst, worst_pair = gap, (i, j)
-    report.checks.append(
-        CheckResult(
-            "subgradient",
-            worst <= 1e-9,
-            worst,
-            f"worst pair {worst_pair}",
-        )
+    gaps = (
+        ((i, j), h_vals[i] + float(np.dot(subgrads[i], pts[j] - pts[i])) - h_vals[j])
+        for i, j in itertools.permutations(range(len(pts)), 2)
     )
+    checks.append(_verdict("subgradient", 1e-9, gaps, (-1, -1)))
 
     def q(x: Point) -> float:
         return problem.eval_g(x) - 0.5 * problem.rho * float(np.dot(x, x))
 
     q_vals = np.array([q(x) for x in pts])
-    worst = 0.0
-    worst_pair = (-1, -1)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            mid = 0.5 * (pts[i] + pts[j])
-            gap = q(mid) - 0.5 * (q_vals[i] + q_vals[j])
-            if gap > worst:
-                worst, worst_pair = gap, (i, j)
-    report.checks.append(
-        CheckResult(
-            "strong_convexity",
-            worst <= 1e-9,
-            worst,
-            f"worst pair {worst_pair}",
-        )
+    gaps = (
+        ((i, j), q(0.5 * (pts[i] + pts[j])) - 0.5 * (q_vals[i] + q_vals[j]))
+        for i, j in itertools.combinations(range(len(pts)), 2)
     )
-    return report
+    checks.append(_verdict("strong_convexity", 1e-9, gaps, (-1, -1)))
+    return ValidationReport(checks)

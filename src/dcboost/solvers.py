@@ -115,7 +115,8 @@ class StationarityReport(Record):
     ``directions`` holds the spanning set of kind ``pss_kind``, one
     direction per row in scan order.  ``is_d_stationary`` holds when the
     smallest derivative is >= -tol; by the positive-spanning property
-    that certifies there is no descent direction at all.
+    that certifies there is no descent direction at all.  A NaN
+    derivative makes ``min_deriv`` NaN and the verdict False.
     """
 
     point: Point
@@ -136,7 +137,7 @@ def _dc_step(
     u = problem.subgrad_h(x)
     y = problem.solve_subproblem(u)
     residual = norm(problem.grad_g(y) - u)
-    if residual > SUBPROBLEM_RESIDUAL_RTOL * (1.0 + norm(u)):
+    if not residual <= SUBPROBLEM_RESIDUAL_RTOL * (1.0 + norm(u)):  # NaN too
         raise ProblemDefinitionError(
             f"subproblem solution has first-order residual {residual:.3e} "
             f"at u={np.asarray(u)!r}"
@@ -439,7 +440,8 @@ def check_d_stationarity(
     x = as_point(x, problem.dim)
     grad = problem.grad_g(x)
     derivs = [float(np.dot(grad, v)) - float(h_prime(x, v)) for v in pss.directions]
-    min_deriv = min(derivs)
+    # min() skips a NaN unless it comes first; a NaN derivative certifies nothing.
+    min_deriv = math.nan if any(map(math.isnan, derivs)) else min(derivs)
     return StationarityReport(
         x, pss.kind, pss.directions, derivs, min_deriv, min_deriv >= -tol
     )

@@ -199,6 +199,18 @@ def test_check_saddle_exits_three():
     assert run_cli("check", "--problem", "example2d", "--point=0,-1") == 3
 
 
+def test_check_a_nan_derivative_exits_three(tmp_path, monkeypatch):
+    from dcboost import cli
+    from test_solvers import NanAlongMinusE1
+
+    monkeypatch.setattr(cli, "Example2dProblem", NanAlongMinusE1)
+    out = tmp_path / "check.json"
+    code = run_cli("check", "--problem", "example2d", "--point=0,-1", "--json", str(out))
+    assert code == 3
+    payload = json.loads(out.read_text())
+    assert payload["is_d_stationary"] is False and np.isnan(payload["min_deriv"])
+
+
 def test_check_nan_tol_is_usage_error(capsys):
     # Unchecked, a NaN tolerance rejects the global minimum (exit 3).
     code = run_cli("check", "--problem", "example2d", "--point=-1,-1", "--tol", "nan")

@@ -116,11 +116,11 @@ def test_params_reject_a_first_escape_radius_outside_the_open_range(kwargs):
 
 def test_as_point_checks():
     with pytest.raises(ValueError):
-        as_point([1.0, float("nan")])
+        as_point([1.0, float("nan")], 2)
     with pytest.raises(ValueError):
         as_point([1.0, 2.0], dim=3)
     with pytest.raises(ValueError):
-        as_point([[1.0, 2.0]])
+        as_point([[1.0, 2.0]], 2)
 
 
 # Every count a caller passes, each as a call taking the value: all go
@@ -217,6 +217,41 @@ def test_validate_catches_corrupted_gradient(rng):
     assert gradient.name == "gradient" and not gradient.passed
     # The other checks only involve g values, h, and subgrad_h.
     assert subgradient.name == "subgradient" and subgradient.passed
+
+
+# For each oracle, the checks that read it and the first sample or pair
+# where its NaN at sample 3 shows.  Pairs run in order, (i, j) with i < j
+# for the midpoint test and i != j for the subgradient inequality.
+NAN_ORACLE_FAILS = {
+    "grad_g": {"gradient": "sample index 3"},
+    "eval_g": {"gradient": "sample index 3", "strong_convexity": "pair (0, 3)"},
+    "eval_h": {"subgradient": "pair (0, 3)"},
+    "subgrad_h": {"subgradient": "pair (3, 0)"},
+}
+
+
+@pytest.mark.parametrize("oracle", NAN_ORACLE_FAILS)
+def test_validate_fails_a_check_at_the_first_nan(oracle, rng):
+    real = getattr(Example2dProblem, oracle)
+
+    def poisoned(self, x):
+        return real(self, x) * np.nan if x[0] > 4.0 else real(self, x)
+
+    samples = rng.uniform(-2.0, 2.0, size=(6, 2))
+    samples[3] = (5.0, 5.0)  # every midpoint with it stays below 4
+    problem = type("Poisoned", (Example2dProblem,), {oracle: poisoned})()
+    report = validate_problem(problem, samples)
+    failed = {c.name: c.detail for c in report.checks if not c.passed}
+    assert failed == {name: f"worst {place}" for name, place in NAN_ORACLE_FAILS[oracle].items()}
+    for c in report.checks:
+        assert np.isnan(c.max_violation) == (c.name in failed)
+
+
+def test_validate_reports_no_violation_as_zero_nowhere(example2d):
+    # One sample makes no pair, so neither pair check has a positive amount.
+    _, subgradient, strong_convexity = validate_problem(example2d, [[0.5, 0.5]]).checks
+    for c in (subgradient, strong_convexity):
+        assert (c.passed, c.max_violation, c.detail) == (True, 0.0, "worst pair (-1, -1)")
 
 
 def test_validate_requires_samples(example2d):

@@ -383,6 +383,18 @@ def test_a_nan_oracle_is_still_blamed_at_y_k(example2d, runner):
     assert repr(y0) in str(err.value)
 
 
+class _NanGradient(Example2dProblem):
+    def grad_g(self, x):
+        return np.full(2, np.nan)
+
+
+@pytest.mark.parametrize("runner", [dca_step, run_dca, run_bdca, run_bdca_plus])
+def test_a_nan_gradient_fails_the_residual_check(runner):
+    # Only the residual check reads grad_g on the solve path.
+    with pytest.raises(ProblemDefinitionError, match="residual nan"):
+        runner(_NanGradient(), X0)
+
+
 def test_max_iterations_termination(example2d):
     res = run_dca(example2d, np.array([0.5, 0.5]), SolverParams(max_iter=3))
     assert res.termination is Termination.MAX_ITERATIONS
@@ -485,6 +497,20 @@ def test_stationarity_values_at_the_four_points(example2d):
     at_saddle = check_d_stationarity(example2d, np.array([0.0, -1.0]), D1)
     assert not at_saddle.is_d_stationary
     assert at_saddle.min_deriv == pytest.approx(-2.0, abs=1e-12)
+
+
+class NanAlongMinusE1(Example2dProblem):
+    """Example2d whose h'(x; v) is NaN along -e1."""
+
+    def dir_deriv_h(self, x, d):
+        return float("nan") if d[0] < 0.0 else super().dir_deriv_h(x, d)
+
+
+def test_stationarity_does_not_certify_a_nan_derivative():
+    # (0, -1) is not d-stationary; min() of [0, nan, 0, 0] would say 0.
+    report = check_d_stationarity(NanAlongMinusE1(), np.array([0.0, -1.0]), D1)
+    assert np.isnan(report.dir_derivs[1]) and np.isnan(report.min_deriv)
+    assert not report.is_d_stationary
 
 
 def test_stationarity_needs_the_exact_oracle():
