@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -116,21 +117,33 @@ def classify_limit_point(
     """
     if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
-    # On plain float tuples the spacing check costs a fraction of array
-    # arithmetic; it runs on every call.
-    coords = [tuple(map(float, p)) for _, p in references]
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            if math.dist(coords[i], coords[j]) <= 2.0 * tol:
-                raise ValueError(
-                    f"references {references[i][0]!r} and {references[j][0]!r} "
-                    f"are too close for tol={tol}"
-                )
+    refs = _spaced_references(
+        tuple((label, tuple(map(float, p))) for label, p in references), tol
+    )
     x = np.asarray(x, dtype=float)
-    for label, p in references:
-        if norm(x - np.asarray(p, dtype=float)) <= tol:
+    for label, p in refs:
+        if norm(x - p) <= tol:
             return label
     return UNCLASSIFIED
+
+
+# Keyed by the references' labels and float coordinates, so a list
+# changed in place is checked again; a failed check is never cached.
+@lru_cache(maxsize=16)
+def _spaced_references(
+    refs: tuple[tuple[str, tuple[float, ...]], ...], tol: float
+) -> tuple[tuple[str, np.ndarray], ...]:
+    """``refs`` with read-only coordinate arrays, once no two of them lie
+    within ``2*tol`` of each other."""
+    for (a, p), (b, q) in combinations(refs, 2):
+        if math.dist(p, q) <= 2.0 * tol:
+            raise ValueError(f"references {a!r} and {b!r} are too close for tol={tol}")
+    out = []
+    for label, p in refs:
+        q = np.array(p, dtype=float)
+        q.flags.writeable = False
+        out.append((label, q))
+    return tuple(out)
 
 
 def _chunk_ranges(n: int, n_chunks: int) -> list[tuple[int, int]]:
@@ -225,8 +238,9 @@ def _table1_chunk(
     params: SolverParams,
     pss_kind: str,
 ) -> list[dict]:
-    refs = [(label, np.asarray(p)) for label, p in CRITICAL_POINTS]
-    return _run_starts(bounds, Example2dProblem(), ALGORITHMS, seed, params, pss_kind, refs)
+    return _run_starts(
+        bounds, Example2dProblem(), ALGORITHMS, seed, params, pss_kind, CRITICAL_POINTS
+    )
 
 
 def run_table1(

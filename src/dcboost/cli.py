@@ -61,7 +61,9 @@ def _write_json(path: Optional[str], payload) -> None:
     else:
         sink = open(path, "w", encoding="utf-8", newline="\n")
     with sink as fh:
-        json.dump(payload, fh, indent=2)
+        # Each payload is built for this write (from to_dict) and holds no
+        # cycle, so the encoder's cycle check would find none.
+        json.dump(payload, fh, indent=2, check_circular=False)
         fh.write("\n")
 
 

@@ -72,7 +72,7 @@ def as_point(x: Sequence[float] | np.ndarray, dim: int) -> Point:
         raise ValueError(f"expected a 1-D point, got shape {p.shape}")
     if p.shape[0] != dim:
         raise ValueError(f"point has length {p.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("point has non-finite entries")
     return p
 
@@ -86,17 +86,19 @@ def as_count(value: Any, name: str) -> int:
 
 
 def sq_norm(v: Point) -> float:
-    """Squared Euclidean length ``||v||^2`` of a 1-D float vector.  Every
+    """Squared Euclidean length ``||v||^2`` of a 1-D float array.  Every
     decision the solvers take on a length (the stall test, the Armijo
-    bound, the subproblem residual) is computed here."""
-    return float(np.dot(v, v))
+    bound, the subproblem residual) is computed here.  ``v.dot(v)`` is the
+    BLAS product ``np.dot(v, v)`` reaches, without numpy's Python-level
+    dispatch."""
+    return float(v.dot(v))
 
 
 def norm(v: Point) -> float:
-    """Euclidean length of a 1-D float vector; the same bits as
+    """Euclidean length of a 1-D float array; the same bits as
     ``np.linalg.norm(v)``, which computes exactly this, without its
     per-call overhead."""
-    return math.sqrt(sq_norm(v))
+    return math.sqrt(v.dot(v))
 
 
 @dataclass(frozen=True)
@@ -331,9 +333,13 @@ def eval_phi(problem: DcProblem, x: Point) -> float:
 
     The objective is always formed as the difference of the two component
     oracles; problems may expose a direct formula for cross-checking, but
-    solvers never use it.
+    solvers never use it.  A non-finite objective raises
+    :class:`ProblemDefinitionError`.
     """
-    return phi_and_scale(problem, x)[0]
+    phi = problem.eval_g(x) - problem.eval_h(x)
+    if not math.isfinite(phi):
+        raise _not_finite(x, phi)
+    return phi
 
 
 def phi_and_scale(problem: DcProblem, x: Point) -> tuple[float, float]:
@@ -343,10 +349,14 @@ def phi_and_scale(problem: DcProblem, x: Point) -> tuple[float, float]:
     h = problem.eval_h(x)
     phi = g - h
     if not math.isfinite(phi):
-        raise ProblemDefinitionError(
-            f"objective is not finite at x={np.asarray(x)!r} (got {phi})"
-        )
+        raise _not_finite(x, phi)
     return phi, abs(g) + abs(h)
+
+
+def _not_finite(x: Point, phi: float) -> ProblemDefinitionError:
+    return ProblemDefinitionError(
+        f"objective is not finite at x={np.asarray(x)!r} (got {phi})"
+    )
 
 
 @dataclass

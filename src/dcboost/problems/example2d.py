@@ -39,10 +39,6 @@ class Example2dProblem(DcProblem):
     dim = 2
     rho = 1.0
 
-    @staticmethod
-    def _sign(t: float) -> float:
-        return -1.0 if t < 0.0 else 1.0
-
     def eval_g(self, x: Point) -> float:
         a, b = x.tolist()
         return 1.5 * (a * a + b * b) + a + b
@@ -57,7 +53,7 @@ class Example2dProblem(DcProblem):
 
     def subgrad_h(self, x: Point) -> Point:
         a, b = x.tolist()
-        return np.array((self._sign(a) + a, self._sign(b) + b))
+        return np.array(((-1.0 if a < 0.0 else 1.0) + a, (-1.0 if b < 0.0 else 1.0) + b))
 
     def solve_subproblem(self, u: Point) -> Point:
         # grad_g(y) = u reads 3*y + 1 = u per coordinate.

@@ -114,9 +114,12 @@ class StationarityReport(Record):
 
     ``directions`` holds the spanning set of kind ``pss_kind``, one
     direction per row in scan order.  ``is_d_stationary`` holds when the
-    smallest derivative is >= -tol; by the positive-spanning property
-    that certifies there is no descent direction at all.  A NaN
-    derivative makes ``min_deriv`` NaN and the verdict False.
+    smallest derivative is >= -tol.  At ``tol = 0`` the positive-spanning
+    property makes that a certificate that no direction at all descends.
+    At ``tol > 0`` it bounds the derivative along any unit direction
+    below by ``-tol * C(D)``, where ``C(D)`` depends on the set:
+    ``C(D1) = sqrt(m)`` in dimension m.  A NaN derivative makes
+    ``min_deriv`` NaN and the verdict False.
     """
 
     point: Point
@@ -291,6 +294,9 @@ def dfo_escape(
     (``||d_k|| <= eps1``).
     """
     phi_y, scale_y = phi_and_scale(problem, y_k)
+    # The guard's 1 + scale_y + scale_trial adds left to right, so its
+    # first sum is the same at every probe.
+    guard_y = 1.0 + scale_y
     mu = params.eta * state.mu + params.tau
     mu_tried: list[float] = []
     x_next = phi_next = index = None
@@ -304,7 +310,7 @@ def dfo_escape(
             except ProblemDefinitionError:  # the objective is not finite there
                 rejected += 1
                 continue
-            if phi_trial < phi_y - _DFO_ACCEPT_GUARD * (1.0 + scale_y + scale_trial):
+            if phi_trial < phi_y - _DFO_ACCEPT_GUARD * (guard_y + scale_trial):
                 x_next, phi_next, index = trial, phi_trial, i
                 break
         if index is not None or mu <= params.eps2:
@@ -423,8 +429,12 @@ def check_d_stationarity(
     For each direction v the one-sided derivative of the objective is
     ``<grad_g(x), v> - h'(x; v)``, with ``h'`` from the problem's exact
     ``dir_deriv_h`` oracle (a problem without one raises ValueError).
-    Nonnegativity of all of them (within ``tol``) certifies there is no
-    descent direction anywhere.
+    The verdict is that every derivative is >= -tol.  At ``tol = 0`` that
+    certifies there is no descent direction anywhere.  At ``tol > 0`` the
+    derivative along any unit direction is only bounded below by
+    ``-tol * C(D)``: ``C(D)`` is the largest, over unit d, of the smallest
+    sum of nonnegative coefficients that writes d from the set, and
+    ``C(D1) = sqrt(m)`` in dimension m.
     """
     if not math.isfinite(tol):
         raise ValueError("tol must be finite")

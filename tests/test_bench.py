@@ -29,6 +29,32 @@ def test_classify_rejects_close_references():
         classify_limit_point(np.array([5.0, 5.0]), refs, tol=1e-3)
 
 
+def test_classify_checks_the_references_at_every_call():
+    # Whatever makes the spacing check cheap must not let a valid call
+    # vouch for the next one's references.
+    x = np.array([5.0, 5.0])
+    too_close = REFS + [("dup", np.array([-1.0, -1.0004]))]
+    assert classify_limit_point(x, REFS) == UNCLASSIFIED
+    with pytest.raises(ValueError, match="too close"):
+        classify_limit_point(x, too_close)
+    # The same list, moved into place after a call that passed.
+    refs = [(label, p.copy()) for label, p in REFS]
+    assert classify_limit_point(x, refs) == UNCLASSIFIED
+    refs[1][1][:] = (-1.0, -1.0015)
+    with pytest.raises(ValueError, match="too close"):
+        classify_limit_point(x, refs)
+    assert classify_limit_point(x, REFS) == UNCLASSIFIED
+
+
+def test_classify_labels_the_same_from_tuples_and_arrays(rng):
+    points = np.concatenate(
+        [rng.uniform(-1.5, 0.5, (200, 2))]
+        + [np.asarray(p) + rng.uniform(-1.2e-3, 1.2e-3, (50, 2)) for _, p in REFS]
+    )
+    for x in points:
+        assert classify_limit_point(x, CRITICAL_POINTS) == classify_limit_point(x, REFS)
+
+
 def test_classify_rejects_bad_tol():
     with pytest.raises(ValueError):
         classify_limit_point(np.zeros(2), REFS, tol=0.0)

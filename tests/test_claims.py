@@ -11,16 +11,22 @@ On clustering, the first-order test accepts every DCA and BDCA endpoint
 of the starts below, so BDCA+'s lower objective comes from moving empty
 or misplaced centroids, not from escaping a point that is not
 d-stationary.  README "What reproduces" quotes these numbers.
+
+One DC step on clustering is a damped Lloyd step: each centroid moves
+toward the mean of the points nearest to it by a fixed fraction, and an
+empty one stays (ROADMAP item 15).
 """
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from dcboost import (
     Example2dProblem,
     MsscProblem,
     SolverParams,
+    dca_step,
     generate_blobs,
     make_d1,
     run_bdca,
@@ -176,3 +182,30 @@ def test_bdca_plus_ends_at_one_objective_from_every_start_at_k4(cluster_runs):
     above = [res.final_phi > best + 1e-6 for res, _, _ in runs["DCA"]]
     assert above == [False, True, True, True, True, True]
     assert abs(runs["DCA"][0][0].final_phi - best) < 1e-6
+
+
+def test_a_dc_step_on_clustering_is_a_damped_lloyd_step():
+    """y_j = x_j - (2 n_j / (n (2 + rho))) (x_j - m_j), where n_j of the n
+    points are nearest to centroid j (first index on ties) and m_j is
+    their mean; a centroid no point is nearest to stays."""
+    data = generate_blobs(4, 200, seed=0)
+    a, n = data.points, data.n
+    empty = 0
+    for k in (4, 8, 16):
+        problem = MsscProblem(data, k)
+        for i in range(3):
+            x = draw_start(problem, 0, i)
+            c = x.reshape(k, -1)
+            nearest = ((a[:, None, :] - c[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+            expected = c.copy()
+            for j in range(k):
+                members = a[nearest == j]
+                if len(members) == 0:
+                    empty += 1
+                    continue
+                step = 2.0 * len(members) / (n * (2.0 + problem.rho))
+                expected[j] = c[j] - step * (c[j] - members.mean(axis=0))
+            y = dca_step(problem, x)[0].reshape(k, -1)
+            rel = np.linalg.norm(y - expected) / np.linalg.norm(expected)
+            assert rel <= 1e-12, (k, i, rel)
+    assert empty > 0  # the unmoved case is exercised
