@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -27,7 +27,6 @@ from dcboost.core import (
     SolverParams,
     Termination,
     as_count,
-    norm,
     timing,
 )
 from dcboost.problems.example2d import CRITICAL_POINTS, Example2dProblem
@@ -36,6 +35,7 @@ from dcboost.spanning import PositiveSpanningSet, make_pss
 
 __all__ = [
     "ALGORITHMS",
+    "LABEL_TOL",
     "StartSummary",
     "PairRow",
     "PairedStats",
@@ -49,6 +49,8 @@ __all__ = [
 
 ALGORITHMS = ("DCA", "BDCA", "BDCA+")
 UNCLASSIFIED = "unclassified"
+#: An end point takes a reference's label within this Euclidean distance.
+LABEL_TOL = 1e-3
 
 
 @dataclass
@@ -105,45 +107,21 @@ class MultiStartReport(Record):
 
 
 def classify_limit_point(
-    x: np.ndarray,
-    references: Sequence[tuple[str, np.ndarray]],
-    tol: float = 1e-3,
+    x: Sequence[float], references: Sequence[tuple[str, Sequence[float]]]
 ) -> str:
-    """Label of the unique reference within ``tol`` of ``x`` (Euclidean),
-    or ``"unclassified"``.
+    """Label of the reference within :data:`LABEL_TOL` of ``x`` (by
+    ``math.dist``), or ``"unclassified"``.
 
-    References closer than ``2*tol`` to each other would make labels
+    References within ``2*LABEL_TOL`` of each other would make labels
     ambiguous, so that configuration is rejected outright.
     """
-    if not tol > 0:  # NaN too
-        raise ValueError("tol must be positive")
-    refs = _spaced_references(
-        tuple((label, tuple(map(float, p))) for label, p in references), tol
-    )
-    x = np.asarray(x, dtype=float)
-    for label, p in refs:
-        if norm(x - p) <= tol:
+    for (a, p), (b, q) in combinations(references, 2):
+        if math.dist(p, q) <= 2.0 * LABEL_TOL:
+            raise ValueError(f"references {a!r} and {b!r} are too close")
+    for label, p in references:
+        if math.dist(x, p) <= LABEL_TOL:
             return label
     return UNCLASSIFIED
-
-
-# Keyed by the references' labels and float coordinates, so a list
-# changed in place is checked again; a failed check is never cached.
-@lru_cache(maxsize=16)
-def _spaced_references(
-    refs: tuple[tuple[str, tuple[float, ...]], ...], tol: float
-) -> tuple[tuple[str, np.ndarray], ...]:
-    """``refs`` with read-only coordinate arrays, once no two of them lie
-    within ``2*tol`` of each other."""
-    for (a, p), (b, q) in combinations(refs, 2):
-        if math.dist(p, q) <= 2.0 * tol:
-            raise ValueError(f"references {a!r} and {b!r} are too close for tol={tol}")
-    out = []
-    for label, p in refs:
-        q = np.array(p, dtype=float)
-        q.flags.writeable = False
-        out.append((label, q))
-    return tuple(out)
 
 
 def _chunk_ranges(n: int, n_chunks: int) -> list[tuple[int, int]]:
@@ -254,8 +232,8 @@ def run_table1(
 
     Runs all three algorithms from ``n_starts`` uniform random starts in
     the square [-1.5, 1.5]^2 and counts which of the four critical points
-    each run converged to (tolerance 1e-3; anything else lands in the
-    "unclassified" bucket).
+    each run converged to (within :data:`LABEL_TOL`; anything else lands
+    in the "unclassified" bucket).
     """
     params = _multistart_params(n_starts, workers, params)
     task = partial(_table1_chunk, seed=seed, params=params, pss_kind=pss_kind)

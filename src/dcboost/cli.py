@@ -92,6 +92,17 @@ def _parse_box(text: str) -> tuple[tuple, tuple]:
     return tuple(box[:half]), tuple(box[half:])
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` or ``--blob-seed`` value: numpy's seeds are integers >= 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return seed
+
+
 def _parse_blob_spec(text: str) -> tuple[int, int]:
     """``--blobs`` as (N, P); ``generate_blobs`` checks they are positive."""
     try:
@@ -147,7 +158,7 @@ def _add_mssc_flags(p: argparse.ArgumentParser) -> None:
     grp.add_argument("--k", type=int, help="number of centroids")
     grp.add_argument("--rho", type=float, default=None, help="strong convexity modulus (default 1/(n*k))")
     _add_blob_flags(grp, required=False)
-    grp.add_argument("--blob-seed", dest="blob_seed", type=int, default=0)
+    grp.add_argument("--blob-seed", dest="blob_seed", type=_seed, default=0)
 
 
 def _load_cluster_data(args) -> MsscProblem:
@@ -290,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--problem", choices=["example2d", "mssc"], required=True)
     p_solve.add_argument("--algo", choices=[a.lower() for a in ALGORITHMS], required=True)
     p_solve.add_argument("--x0", help="comma-separated start (e.g. --x0=0,1)")
-    p_solve.add_argument("--seed", type=int, default=0, help="random start seed (used when --x0 is absent)")
+    p_solve.add_argument("--seed", type=_seed, default=0, help="random start seed (used when --x0 is absent)")
     p_solve.add_argument("--pss", choices=PSS_KINDS, default="d1")
     p_solve.add_argument("--json", default=None, help="result path (default: stdout)")
     p_solve.add_argument("--trace-csv", dest="trace_csv", default=None, help="per-iteration CSV path")
@@ -310,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_t1 = sub.add_parser("table1", help="basin counts on the 2-D test problem")
     p_t1.add_argument("--starts", type=int, required=True)
-    p_t1.add_argument("--seed", type=int, default=0)
+    p_t1.add_argument("--seed", type=_seed, default=0)
     p_t1.add_argument("--pss", choices=PSS_KINDS, default="d1")
     p_t1.add_argument("--csv", default="table1_counts.csv")
     p_t1.add_argument("--json", default="table1_report.json")
@@ -321,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cl = sub.add_parser("cluster", help="paired DCA vs escape-step comparison on clustering data")
     p_cl.add_argument("--starts", type=int, default=50)
-    p_cl.add_argument("--seed", type=int, default=0)
+    p_cl.add_argument("--seed", type=_seed, default=0)
     p_cl.add_argument("--pss", choices=PSS_KINDS, default="d1")
     p_cl.add_argument("--csv", default="cluster_pairs.csv")
     p_cl.add_argument("--json", default="cluster_summary.json")
@@ -333,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="write synthetic blob data as CSV")
     _add_blob_flags(p_gen, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)
 

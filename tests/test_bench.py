@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 import dcboost.bench
 
 from dcboost import Example2dProblem, MsscProblem, classify_limit_point
-from dcboost.bench import UNCLASSIFIED, make_pss, run_algorithm, run_pairwise_mssc, run_table1
+from dcboost.bench import (
+    LABEL_TOL,
+    UNCLASSIFIED,
+    make_pss,
+    run_algorithm,
+    run_pairwise_mssc,
+    run_table1,
+)
 from dcboost.cli import main
 from dcboost.core import Termination
 from dcboost.problems.example2d import CRITICAL_POINTS
@@ -16,17 +24,17 @@ REFS = [(label, np.asarray(p)) for label, p in CRITICAL_POINTS]
 
 def test_classify_nearest_reference():
     x = np.array([-0.9997, -1.0002])
-    assert classify_limit_point(x, REFS, tol=1e-3) == "(-1,-1)"
+    assert classify_limit_point(x, REFS) == "(-1,-1)"
 
 
 def test_classify_unmatched_point():
-    assert classify_limit_point(np.array([-0.5, -0.5]), REFS, tol=1e-3) == UNCLASSIFIED
+    assert classify_limit_point(np.array([-0.5, -0.5]), REFS) == UNCLASSIFIED
 
 
 def test_classify_rejects_close_references():
     refs = REFS + [("dup", np.array([-1.0, -1.0004]))]
     with pytest.raises(ValueError, match="too close"):
-        classify_limit_point(np.array([5.0, 5.0]), refs, tol=1e-3)
+        classify_limit_point(np.array([5.0, 5.0]), refs)
 
 
 def test_classify_checks_the_references_at_every_call():
@@ -55,12 +63,25 @@ def test_classify_labels_the_same_from_tuples_and_arrays(rng):
         assert classify_limit_point(x, CRITICAL_POINTS) == classify_limit_point(x, REFS)
 
 
-def test_classify_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        classify_limit_point(np.zeros(2), REFS, tol=0.0)
-    # NaN passes the sign check and would leave every point unclassified.
-    with pytest.raises(ValueError, match="tol must be positive"):
-        classify_limit_point(np.array([-1.0, -1.0]), REFS, tol=float("nan"))
+def _checker_label(x) -> str:
+    # The rule benchmarks/checks.py recounts the labels with.
+    for label, p in CRITICAL_POINTS:
+        if math.hypot(x[0] - p[0], x[1] - p[1]) <= 1e-3:
+            return label
+    return UNCLASSIFIED
+
+
+def test_classify_applies_the_checker_rule_on_the_label_circle():
+    # Points within about 1e-15 (relative) of the LABEL_TOL circle, where
+    # a distance rounded differently from math.hypot flips labels.
+    rng = np.random.default_rng(20191)
+    n = 5000
+    for _, p in CRITICAL_POINTS:
+        angle = rng.uniform(0.0, 2.0 * np.pi, n)
+        radius = LABEL_TOL * (1.0 + rng.normal(0.0, 1e-15, n))
+        offsets = radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+        for x in np.asarray(p) + offsets:
+            assert classify_limit_point(x, CRITICAL_POINTS) == _checker_label(x), x
 
 
 def test_spec_validation(small_blobs):

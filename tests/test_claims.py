@@ -10,7 +10,10 @@ every start to (-1, -1), so the escape is exercised at
 On clustering, the first-order test accepts every DCA and BDCA endpoint
 of the starts below, so BDCA+'s lower objective comes from moving empty
 or misplaced centroids, not from escaping a point that is not
-d-stationary.  README "What reproduces" quotes these numbers.
+d-stationary.  Each of those endpoints, and each point BDCA+ escapes
+from, is a certified local minimum, and every escape moves a centroid by
+many times the certificate's radius.  README "What reproduces" quotes
+these numbers.
 
 One DC step on clustering is a damped Lloyd step: each centroid moves
 toward the mean of the points nearest to it by a fixed fraction, and an
@@ -134,13 +137,38 @@ def _empty_clusters(problem, point):
     return int(problem.k - nearest.any(axis=0).sum())
 
 
+def _local_minimum_certificate(problem, point):
+    """(r*, the largest distance from a non-empty centroid to its cluster's
+    mean) at ``point``.
+
+    r* is half the smallest gap, over data points, between the distances
+    to the nearest and the second-nearest centroid.  While no centroid
+    moves by r* or more, no data point changes cluster, so phi is a convex
+    quadratic in the non-empty centroids and constant in the empty ones:
+    with r* > 0 and each non-empty centroid at its cluster's mean, ``point``
+    is a local minimum (Selim & Ismail 1984).
+    """
+    a = problem.data.points
+    c = point.reshape(problem.k, -1)
+    dist = np.sqrt(((a[:, None, :] - c[None, :, :]) ** 2).sum(axis=2))
+    nearest_two = np.sort(dist, axis=1)[:, :2]
+    r_star = 0.5 * float((nearest_two[:, 1] - nearest_two[:, 0]).min())
+    labels = dist.argmin(axis=1)
+    off = max(np.linalg.norm(c[j] - a[labels == j].mean(axis=0)) for j in set(labels))
+    return r_star, float(off)
+
+
 @pytest.fixture(scope="module")
-def cluster_runs():
-    """{k: {algorithm: [(run, passes the D1 check at tol 1e-6, empty clusters)]}}."""
+def cluster_problems():
     data = generate_blobs(4, 200, seed=0)
+    return {k: MsscProblem(data, k) for k in EMPTY}
+
+
+@pytest.fixture(scope="module")
+def cluster_runs(cluster_problems):
+    """{k: {algorithm: [(run, passes the D1 check at tol 1e-6, empty clusters)]}}."""
     out = {}
-    for k in EMPTY:
-        problem = MsscProblem(data, k)
+    for k, problem in cluster_problems.items():
         d1 = make_d1(problem.dim)
         out[k] = {}
         for name, run in CLUSTER_SOLVERS.items():
@@ -160,6 +188,47 @@ def test_dca_and_bdca_cluster_endpoints_pass_the_first_order_check(cluster_runs,
         rows = cluster_runs[k][name]
         assert all(passed for _, passed, _ in rows), name
         assert [empty for _, _, empty in rows] == EMPTY[k][name], name
+
+
+# A centroid within this distance of its cluster's mean is at it: the
+# solvers stop within 7.6e-8 of the means on these starts.
+AT_MEAN = 1e-6
+
+
+@pytest.mark.parametrize("k", sorted(EMPTY))
+def test_dca_and_bdca_cluster_endpoints_are_certified_local_minima(
+    cluster_problems, cluster_runs, k
+):
+    for name in ("DCA", "BDCA"):
+        for res, _, _ in cluster_runs[k][name]:
+            r_star, off = _local_minimum_certificate(cluster_problems[k], res.final_point)
+            assert r_star >= 3.7e-3 and off < AT_MEAN, (name, r_star, off)
+
+
+# BDCA+'s escapes over the six starts; each start also ends with one
+# certifying scan.
+ESCAPE_COUNTS = {4: 9, 8: 20}
+
+
+@pytest.mark.parametrize("k", sorted(EMPTY))
+def test_bdca_plus_escapes_certified_local_minima_by_non_local_moves(
+    cluster_problems, cluster_runs, k
+):
+    escapes = certifications = 0
+    for res, _, _ in cluster_runs[k]["BDCA+"]:
+        for rec in res.iterations:
+            event = rec.dfo_event
+            if event is None:
+                continue
+            r_star, off = _local_minimum_certificate(cluster_problems[k], rec.y_k)
+            assert r_star > 0.0 and off < AT_MEAN
+            if event.mu_accepted is None:
+                certifications += 1
+                assert event.mu_tried[-1] <= 0.042 * r_star
+            else:
+                escapes += 1
+                assert event.mu_accepted >= 16.0 * r_star
+    assert (escapes, certifications) == (ESCAPE_COUNTS[k], 6)
 
 
 def test_bdca_plus_moves_the_empty_centroids_at_k8(cluster_runs):

@@ -127,10 +127,15 @@ def test_solve_oracle_failure_exits_one(tmp_path, capsys, monkeypatch):
     assert "synthetic oracle failure" in capsys.readouterr().err
 
 
-def test_solve_bad_x0_dimension_is_usage_error(tmp_path, capsys):
-    code = run_cli("solve", "--problem", "example2d", "--algo", "dca", "--x0=1,2,3")
+@pytest.mark.parametrize(
+    "x0, message",
+    [("1,2,3", "length"), ("1,b", "could not parse '1,b'")],
+    ids=["dimension", "unparsable"],
+)
+def test_solve_bad_x0_is_usage_error(capsys, x0, message):
+    code = run_cli("solve", "--problem", "example2d", "--algo", "dca", f"--x0={x0}")
     assert code == 2
-    assert "length" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_solve_unknown_flag_is_usage_error(capsys):
@@ -141,6 +146,13 @@ def test_solve_unknown_flag_is_usage_error(capsys):
 def test_solve_mssc_requires_data(capsys):
     code = run_cli("solve", "--problem", "mssc", "--algo", "dca", "--k", "2")
     assert code == 2
+    assert "needs --data or --blobs" in capsys.readouterr().err
+    code = run_cli(
+        "solve", "--problem", "mssc", "--algo", "dca", "--k", "2",
+        "--data", "pts.csv", "--blobs", "2x10",
+    )
+    assert code == 2
+    assert "not both" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -431,7 +443,7 @@ def test_gen_bad_spec(capsys):
     assert run_cli("gen", "--blobs", "4by25", "--out", "x.csv") == 2
 
 
-@pytest.mark.parametrize("box", ["-1,-1,-1,1,1,1", "-1,1"], ids=["3d", "1d"])
+@pytest.mark.parametrize("box", ["-1,-1,-1,1,1,1", "-1,1", "-1,-1,1"], ids=["3d", "1d", "odd"])
 def test_gen_rejects_a_box_that_is_not_2d(tmp_path, capsys, box):
     """``gen`` writes ``x,y`` lines, so a box of other than 2 dimensions
     is a usage error, reported before the output file is opened."""
@@ -476,6 +488,26 @@ def test_seed_defaults_to_zero_and_ignores_the_environment(tmp_path, monkeypatch
 @pytest.mark.parametrize(
     "argv",
     [
+        ["solve", "--problem", "example2d", "--algo", "dca", "--x0=0,1", "--seed", "-1"],
+        ["table1", "--starts", "1", "--seed", "-1"],
+        ["cluster", "--blobs", "2x10", "--k", "2", "--seed", "-1"],
+        ["gen", "--blobs", "2x10", "--out", "blobs.csv", "--seed", "-1"],
+        ["solve", "--problem", "mssc", "--algo", "dca", "--blobs", "2x10", "--k", "2",
+         "--blob-seed", "-1"],
+    ],
+    ids=["solve", "table1", "cluster", "gen", "blob-seed"],
+)
+def test_negative_seed_is_usage_error_naming_the_flag(tmp_path, monkeypatch, capsys, argv):
+    # numpy rejects a negative seed only when it draws, and solve --x0 never draws.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 2
+    assert f"argument {argv[-2]}: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["-v", "solve", "--problem", "example2d", "--algo", "dca"],
         ["check", "--problem", "example2d", "--point=-1,-1", "--fd-step", "1e-7"],
     ],
@@ -506,7 +538,8 @@ def test_param_flag_reaches_solver_params(field):
 
 def test_module_runs_from_a_source_checkout(tmp_path):
     """``python -m dcboost`` works with only ``src`` on the path, as the
-    README's commands do before any install."""
+    README's commands do before any install, and exits with ``main``'s
+    code through ``cli.entry``, the installed console script."""
     import os
     import subprocess
     import sys
@@ -514,9 +547,16 @@ def test_module_runs_from_a_source_checkout(tmp_path):
 
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "dcboost", "--help"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "dcboost", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    proc = run("--help")
     assert proc.returncode == 0, proc.stderr
     assert "solve" in proc.stdout
+    proc = run("solve", "--problem", "example2d", "--algo", "dca", "--seed", "-1")
+    assert proc.returncode == 2
+    assert "argument --seed" in proc.stderr

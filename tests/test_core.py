@@ -79,6 +79,8 @@ def test_params_derived_defaults():
         {"lambda_bar1": 0.0},
         {"max_iter": 0},
         {"eps1": -1e-9},
+        {"eta": -1.0},
+        {"tau": -1e-9},
     ],
 )
 def test_params_validation(kwargs):
@@ -324,6 +326,10 @@ LOSSLESS_RECORDS = {
     "MultiStartReport": lambda: run_pairwise_mssc(
         MsscProblem(generate_blobs(3, 40, spread=0.6, seed=11), 2), n_starts=3, seed=1
     ),
+    # A user's oracle may return numpy scalars.
+    "numpy scalars": lambda: RunResult(
+        np.array([-1.0, -1.0]), np.float64(-2.0), [], Termination.CRITICAL_POINT, np.float32(0.25)
+    ),
 }
 
 
@@ -351,7 +357,7 @@ def _assert_encodes(value, encoded, timed):
         for item, enc in zip(value, encoded):
             _assert_encodes(item, enc, timed)
     else:
-        assert encoded == value
+        assert encoded == value and type(encoded) in (int, float, str, bool, type(None))
 
 
 @pytest.mark.parametrize("include_timings", [False, True])
@@ -361,6 +367,12 @@ def test_to_dict_is_lossless_json(kind, include_timings):
     d = record.to_dict(include_timings)
     assert json.loads(json.dumps(d)) == d
     _assert_encodes(record, d, include_timings)
+
+
+def test_to_dict_rejects_a_field_json_cannot_encode():
+    result = RunResult(np.zeros(2), {0.0}, [], Termination.CRITICAL_POINT, 0.25)
+    with pytest.raises(TypeError, match="cannot encode set as JSON"):
+        result.to_dict()
 
 
 MODULES = ["dcboost"] + [

@@ -128,6 +128,8 @@ def test_constructor_validation():
         PositiveSpanningSet(np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         make_d1(0)
+    with pytest.raises(ValueError, match="unknown spanning set kind 'd4'"):
+        make_pss("d4", 2)
     # 1e308 is finite, but its norm overflows.
     for bad in (float("inf"), float("nan"), 1e308):
         with pytest.raises(ValueError, match="finite"):
