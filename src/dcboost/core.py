@@ -33,7 +33,6 @@ __all__ = [
     "RunResult",
     "DcProblem",
     "eval_phi",
-    "phi_and_scale",
     "CheckResult",
     "ValidationReport",
     "validate_problem",
@@ -340,17 +339,6 @@ def eval_phi(problem: DcProblem, x: Point) -> float:
     if not math.isfinite(phi):
         raise _not_finite(x, phi)
     return phi
-
-
-def phi_and_scale(problem: DcProblem, x: Point) -> tuple[float, float]:
-    """Objective value as :func:`eval_phi` forms it, together with the
-    cancellation scale ``|g(x)| + |h(x)|``."""
-    g = problem.eval_g(x)
-    h = problem.eval_h(x)
-    phi = g - h
-    if not math.isfinite(phi):
-        raise _not_finite(x, phi)
-    return phi, abs(g) + abs(h)
 
 
 def _not_finite(x: Point, phi: float) -> ProblemDefinitionError:

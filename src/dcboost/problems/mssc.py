@@ -257,9 +257,8 @@ class MsscProblem(DcProblem):
     (kept while the probes move the same centroid), the row sums by adding
     again the path from column j from the base's partial sums, and the
     total as ``dists.sum()`` with the column written in, which touches the
-    whole matrix.  Any other point, the base's own included, a probe whose
-    total is not finite and a probe whose labels are asked for take a
-    whole pass, which becomes the base.
+    whole matrix.  Any other point, the base's own included, and a probe
+    whose labels are asked for take a whole pass, which becomes the base.
     Probes run only for 2-D data with k >= 2 and n >= 2: with more
     coordinates a probe's two-row product can round differently from the
     same row of the whole pass's.
@@ -379,9 +378,9 @@ class MsscProblem(DcProblem):
         for (left, right), dest in zip(self._sum_plan, [*ops[self.k : -1], out]):
             np.add(ops[left], ops[right], out=dest)
 
-    def _update_columns(self, ws: _Workspace, c: np.ndarray, j: int) -> float | None:
+    def _update_columns(self, ws: _Workspace, c: np.ndarray, j: int) -> float:
         """Evaluates the probe ``c``, which moves centroid ``j`` of the base,
-        with the bits of :meth:`_sq_dists`; returns its total if finite."""
+        with the bits of :meth:`_sq_dists`; returns its total."""
         # gemm forms each a.c as the whole pass does; a duplicate row keeps
         # numpy from sending a single row through gemv.
         col, sq = np.matmul(c[j : j + 1].repeat(2, axis=0), self._a_t, out=ws.pair)
@@ -398,8 +397,7 @@ class MsscProblem(DcProblem):
         ws.dists[:, j] = col
         np.minimum(ws.other_min, col, out=ws.row_min[1])
         self._add_row_sums(ws, j, col)
-        total = float(ws.dists.sum())
-        return total if math.isfinite(total) else None
+        return float(ws.dists.sum())
 
     @staticmethod
     def _build_base(ws: _Workspace) -> None:
@@ -454,18 +452,17 @@ class MsscProblem(DcProblem):
         if ws.key != key or (labels and ws.side):
             # Cleared before any buffer is written: a call that fails midway
             # leaves no point for the next one to reuse.
-            ws.key = total = None
+            ws.key = j = None
             if not labels and ws.base_key is not None and self._probes:
                 j = self._moved(key, ws.base_key)
-                if j is not None:
-                    total = self._update_columns(ws, c, j)
-            whole = total is None
-            if whole:
+            if j is None:
                 total = self._sq_dists(c)
+                if math.isfinite(total):
+                    ws.base_key = key
+            else:
+                total = self._update_columns(ws, c, j)
             ws.total, ws.reg = total, 0.5 * self.rho * sq_norm(c.ravel())
-            ws.side = 0 if whole else 1
-            if whole and math.isfinite(total):
-                ws.base_key = key
+            ws.side = 0 if j is None else 1
             ws.key = key
         if labels and not ws.labeled:
             self._label(ws)

@@ -58,10 +58,10 @@ from dcboost.core import (
     RunResult,
     SolverParams,
     Termination,
+    _not_finite,
     as_point,
     eval_phi,
     norm,
-    phi_and_scale,
     sq_norm,
 )
 from dcboost.spanning import PositiveSpanningSet, make_d1
@@ -102,10 +102,6 @@ class DfoOutcome:
     x_next: Optional[Point]
     phi_next: Optional[float]
     event: DfoEvent
-
-    @property
-    def escaped(self) -> bool:
-        return self.x_next is not None
 
 
 @dataclass
@@ -293,10 +289,13 @@ def dfo_escape(
     Intended to be called only when the DC displacement has stalled
     (``||d_k|| <= eps1``).
     """
-    phi_y, scale_y = phi_and_scale(problem, y_k)
-    # The guard's 1 + scale_y + scale_trial adds left to right, so its
-    # first sum is the same at every probe.
-    guard_y = 1.0 + scale_y
+    g, h = problem.eval_g(y_k), problem.eval_h(y_k)
+    phi_y = g - h
+    if not math.isfinite(phi_y):
+        raise _not_finite(y_k, phi_y)
+    # The guard's 1 + (|g| + |h| at y_k) + (|g| + |h| at the probe) adds
+    # left to right, so its first sum is the same at every probe.
+    guard_y = 1.0 + (abs(g) + abs(h))
     mu = params.eta * state.mu + params.tau
     mu_tried: list[float] = []
     x_next = phi_next = index = None
@@ -305,12 +304,11 @@ def dfo_escape(
         mu_tried.append(mu)
         # Row i has the bits of y_k + mu * directions[i].
         for i, trial in enumerate(y_k + mu * pss.directions):
-            try:
-                phi_trial, scale_trial = phi_and_scale(problem, trial)
-            except ProblemDefinitionError:  # the objective is not finite there
+            g, h = problem.eval_g(trial), problem.eval_h(trial)
+            phi_trial = g - h
+            if not math.isfinite(phi_trial):
                 rejected += 1
-                continue
-            if phi_trial < phi_y - _DFO_ACCEPT_GUARD * (guard_y + scale_trial):
+            elif phi_trial < phi_y - _DFO_ACCEPT_GUARD * (guard_y + (abs(g) + abs(h))):
                 x_next, phi_next, index = trial, phi_trial, i
                 break
         if index is not None or mu <= params.eps2:
@@ -341,34 +339,37 @@ def _drive(
     records: list[IterationRecord] = []
     termination: Optional[Termination] = None
     t0 = time.perf_counter()
-    for k in range(params.max_iter):
-        y, d, u, phi_y, dd = _dc_step(problem, x, phi_x)
-        lam = trial = 0.0
-        event = None
-        x_next, phi_next = y, phi_y
-        # math.sqrt(dd) has the bits of norm(d).
-        if math.sqrt(dd) > params.eps1:
-            if boost:
-                trial = next_trial_step(searches, params.gamma, params.lambda_bar1)
-                lam, phi_next, x_next = _armijo(
-                    problem, y, d, phi_y, trial, params.alpha, params.beta1, dd
-                )
-                searches.append((lam, trial))
-        elif pss is None:
-            termination = Termination.CRITICAL_POINT
-        else:
-            outcome = dfo_escape(problem, y, pss, dfo_state, params)
-            event = outcome.event
-            if outcome.escaped:
-                x_next, phi_next = outcome.x_next, outcome.phi_next
+    # A trial or probe far from the points a run keeps may overflow; it
+    # fails its test only, and numpy warns of none of its steps.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(params.max_iter):
+            y, d, u, phi_y, dd = _dc_step(problem, x, phi_x)
+            lam = trial = 0.0
+            event = None
+            x_next, phi_next = y, phi_y
+            # math.sqrt(dd) has the bits of norm(d).
+            if math.sqrt(dd) > params.eps1:
+                if boost:
+                    trial = next_trial_step(searches, params.gamma, params.lambda_bar1)
+                    lam, phi_next, x_next = _armijo(
+                        problem, y, d, phi_y, trial, params.alpha, params.beta1, dd
+                    )
+                    searches.append((lam, trial))
+            elif pss is None:
+                termination = Termination.CRITICAL_POINT
             else:
-                termination = Termination.D_STATIONARY_CERTIFIED
-        records.append(IterationRecord(k, x, y, d, phi_x, phi_y, lam, trial, event))
-        x, phi_x = x_next, phi_next
-        if termination is not None:
-            break
-    else:
-        termination = Termination.MAX_ITERATIONS
+                outcome = dfo_escape(problem, y, pss, dfo_state, params)
+                event = outcome.event
+                if outcome.x_next is not None:
+                    x_next, phi_next = outcome.x_next, outcome.phi_next
+                else:
+                    termination = Termination.D_STATIONARY_CERTIFIED
+            records.append(IterationRecord(k, x, y, d, phi_x, phi_y, lam, trial, event))
+            x, phi_x = x_next, phi_next
+            if termination is not None:
+                break
+        else:
+            termination = Termination.MAX_ITERATIONS
     wall = time.perf_counter() - t0
     return RunResult(x, phi_x, records, termination, wall)
 

@@ -17,9 +17,12 @@ these numbers.
 
 One DC step on clustering is a damped Lloyd step: each centroid moves
 toward the mean of the points nearest to it by a fixed fraction, and an
-empty one stays (ROADMAP item 15).
+empty one stays (ROADMAP item 15).  The undamped Lloyd iteration takes
+fewer iterations than BDCA, and BDCA fewer than DCA.
 """
 
+import itertools
+import statistics
 from collections import Counter
 
 import numpy as np
@@ -30,6 +33,7 @@ from dcboost import (
     MsscProblem,
     SolverParams,
     dca_step,
+    eval_phi,
     generate_blobs,
     make_d1,
     run_bdca,
@@ -278,3 +282,43 @@ def test_a_dc_step_on_clustering_is_a_damped_lloyd_step():
             rel = np.linalg.norm(y - expected) / np.linalg.norm(expected)
             assert rel <= 1e-12, (k, i, rel)
     assert empty > 0  # the unmoved case is exercised
+
+
+def _lloyd(problem, x):
+    """Lloyd's iteration from ``x``: each centroid moves to the mean of the
+    points nearest to it (first index on ties) and an empty one stays,
+    until no centroid changes.  Returns (iterations, counting the final
+    unchanged one, and the final point)."""
+    a = problem.data.points
+    c = x.reshape(problem.k, -1)
+    for iterations in itertools.count(1):
+        nearest = ((a[:, None, :] - c[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        moved = c.copy()
+        for j in range(problem.k):
+            members = a[nearest == j]
+            if len(members):
+                moved[j] = members.mean(axis=0)
+        if np.array_equal(moved, c):
+            return iterations, c.ravel()
+        c = moved
+
+
+# Starts at which Lloyd ends within 1e-9 of DCA's objective.
+LLOYD_AT_DCA = {4: [0, 5], 8: []}
+
+
+@pytest.mark.parametrize("k", sorted(EMPTY))
+def test_lloyd_takes_fewer_iterations_than_bdca_and_bdca_fewer_than_dca(
+    cluster_problems, cluster_runs, k
+):
+    problem = cluster_problems[k]
+    lloyd = [_lloyd(problem, draw_start(problem, 0, i)) for i in range(6)]
+    runs = {name: [res for res, _, _ in cluster_runs[k][name]] for name in ("DCA", "BDCA")}
+    median = {name: statistics.median(r.n_iterations for r in rows) for name, rows in runs.items()}
+    assert statistics.median(its for its, _ in lloyd) < median["BDCA"] < median["DCA"]
+    at_dca = [
+        i
+        for i, ((_, x), dca) in enumerate(zip(lloyd, runs["DCA"]))
+        if abs(eval_phi(problem, x) - dca.final_phi) <= 1e-9
+    ]
+    assert at_dca == LLOYD_AT_DCA[k]

@@ -64,6 +64,29 @@ def test_solve_survives_line_search_trials_that_overflow(tmp_path, caplog):
     assert "line search rejected 201 trials with a non-finite objective" in caplog.messages
 
 
+@pytest.mark.parametrize(
+    "flags, logged",
+    [
+        (["--algo", "bdca", "--lambda-bar1", "1e300"],
+         "line search rejected 201 trials with a non-finite objective"),
+        (["--algo", "bdca+", "--mu-bar", "1e300"],
+         "direct search rejected 7824 probes with a non-finite objective"),
+    ],
+    ids=["line-search", "direct-search"],
+)
+def test_clustering_solve_survives_points_that_overflow(tmp_path, caplog, flags, logged):
+    # The trials and probes far out overflow the distance matrices; numpy
+    # warns of none of it (this suite makes warnings errors), and each
+    # fails its test only.
+    with caplog.at_level("WARNING"):
+        code = run_cli(
+            "solve", "--problem", "mssc", "--blobs", "3x30", "--k", "4", *flags,
+            "--json", str(tmp_path / "run.json"),
+        )
+    assert code == 0
+    assert logged in caplog.messages
+
+
 def test_solve_timings_flag(tmp_path):
     out = tmp_path / "run.json"
     run_cli(
@@ -494,14 +517,18 @@ def test_seed_defaults_to_zero_and_ignores_the_environment(tmp_path, monkeypatch
         ["gen", "--blobs", "2x10", "--out", "blobs.csv", "--seed", "-1"],
         ["solve", "--problem", "mssc", "--algo", "dca", "--blobs", "2x10", "--k", "2",
          "--blob-seed", "-1"],
+        ["solve", "--problem", "example2d", "--algo", "dca", "--x0=0,1", "--seed", "abc"],
+        ["solve", "--problem", "mssc", "--algo", "dca", "--blobs", "2x10", "--k", "2",
+         "--blob-seed", "abc"],
     ],
-    ids=["solve", "table1", "cluster", "gen", "blob-seed"],
+    ids=["solve", "table1", "cluster", "gen", "blob-seed", "seed-abc", "blob-seed-abc"],
 )
 def test_negative_seed_is_usage_error_naming_the_flag(tmp_path, monkeypatch, capsys, argv):
     # numpy rejects a negative seed only when it draws, and solve --x0 never draws.
     monkeypatch.chdir(tmp_path)
     assert run_cli(*argv) == 2
-    assert f"argument {argv[-2]}: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+    message = f"argument {argv[-2]}: expected an integer >= 0, got {argv[-1]!r}"
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -22,7 +22,7 @@ from dcboost import (
     validate_problem,
 )
 from dcboost.bench import PairRow, StartSummary, run_pairwise_mssc, run_table1
-from dcboost.core import Record, RunResult, Termination, as_point, norm, phi_and_scale, sq_norm
+from dcboost.core import Record, RunResult, Termination, as_point, norm, sq_norm
 from dcboost.problems.mssc import generate_blobs
 from dcboost.spanning import make_d1, make_d2, make_d3
 
@@ -164,16 +164,6 @@ def test_norm_has_the_bits_of_numpy_norm(rng):
             v = rng.normal(0.0, 10.0 ** rng.integers(-5, 6), length)
             assert sq_norm(v).hex() == float(np.dot(v, v)).hex()
             assert norm(v).hex() == float(np.linalg.norm(v)).hex()
-
-
-@pytest.mark.parametrize("family", ["example2d", "mssc"])
-def test_eval_phi_has_the_bits_of_phi_and_scale(family, mssc3, rng):
-    """The solve path forms phi with eval_phi, the direct search with
-    phi_and_scale: one objective, bit for bit."""
-    problem = Example2dProblem() if family == "example2d" else mssc3
-    for _ in range(100):
-        x = rng.uniform(-3.0, 3.0, problem.dim)
-        assert eval_phi(problem, x).hex() == phi_and_scale(problem, x)[0].hex()
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dcboost"

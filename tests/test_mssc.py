@@ -946,11 +946,46 @@ def test_certification_scan_makes_no_whole_pass_per_probe(matrix_count, monkeypa
         evals["eval_g"] = evals["_label"] = 0
         pss = make_d1(problem.dim)
         outcome = dfo_escape(problem, y, pss, DfoState(mu=params.mu_bar), params)
-        assert not outcome.escaped
+        assert outcome.x_next is None
         probes = len(outcome.event.mu_tried) * len(pss.directions)
         assert evals["eval_g"] == 1 + probes
         assert evals["_label"] == 0
         assert matrix_count["matrices"] == before, data.n
+
+
+def test_a_probe_that_overflows_is_evaluated_from_the_base(matrix_count):
+    """A probe that moves centroid 0 to 1e200, whose total overflows, is
+    evaluated from the base like any other probe and keeps the base: it
+    and an ordinary probe after it take no whole pass, and both have a
+    fresh instance's values, bit for bit."""
+    data = generate_blobs(4, 200, seed=0)
+    problem = MsscProblem(data, 8)
+    y = problem.sample_start(np.random.default_rng(0))
+    problem.eval_g(y)  # the whole pass: the base
+    far, near = y.copy(), y.copy()
+    far[0:2] = 1e200
+    near[2:4] += 0.5
+    before = matrix_count["matrices"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = [(problem.eval_g(x), problem.eval_h(x)) for x in (far, near)]
+        assert matrix_count["matrices"] == before
+        for x, values in zip((far, near), got):
+            fresh = MsscProblem(data, 8)
+            assert _bits(values) == _bits((fresh.eval_g(x), fresh.eval_h(x)))
+    assert not np.isfinite(got[0]).any() and np.isfinite(got[1]).all()
+
+
+def test_an_escape_returns_the_bits_of_eval_phi_at_its_probe():
+    """A scan that escapes a BDCA stall point at its second radius returns
+    the objective that eval_phi gives at the winning probe on a fresh
+    instance, which evaluates it by a whole pass."""
+    data = generate_blobs(4, 200, seed=0)
+    problem = MsscProblem(data, 8)
+    params = SolverParams()
+    y = run_bdca(problem, problem.sample_start(np.random.default_rng(2))).final_point
+    outcome = dfo_escape(problem, y, make_d1(problem.dim), DfoState(mu=params.mu_bar), params)
+    assert outcome.x_next is not None and len(outcome.event.mu_tried) == 2
+    assert outcome.phi_next.hex() == eval_phi(MsscProblem(data, 8), outcome.x_next).hex()
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,9 @@ def test_dfo_escapes_left_from_saddle_axis_point(example2d, params):
     # At (0, -1) moving left improves for radii below 2; enter just below 1.
     state = DfoState(mu=(0.5 - params.tau) / params.eta)
     out = dfo_escape(example2d, np.array([0.0, -1.0]), D1, state, params)
-    assert out.escaped
+    assert out.x_next is not None
+    # The scan forms phi as eval_phi does: one objective, bit for bit.
+    assert out.phi_next.hex() == eval_phi(example2d, out.x_next).hex()
     assert out.event.direction_index == 1  # -e1 comes second in the scan
     mu = out.event.mu_accepted
     assert mu == pytest.approx(0.5, abs=1e-12)
@@ -256,7 +258,7 @@ def test_dfo_escapes_left_from_saddle_axis_point(example2d, params):
 def test_dfo_certifies_global_minimum(example2d, params):
     state = DfoState(mu=10.0)
     out = dfo_escape(example2d, np.array([-1.0, -1.0]), D1, state, params)
-    assert not out.escaped
+    assert out.x_next is None
     assert out.event.mu_accepted is None and out.event.direction_index is None
     tried = out.event.mu_tried
     assert all(b < a for a, b in zip(tried, tried[1:]))
@@ -342,6 +344,14 @@ def _rejected(caplog, what: str) -> int:
         for r in caplog.records
         if (m := re.match(pattern, r.getMessage()))
     )
+
+
+def test_a_scan_from_a_point_whose_objective_overflows_blames_the_problem(
+    example2d, params
+):
+    # The run never scans from such a point: every y_k passed eval_phi first.
+    with pytest.raises(ProblemDefinitionError, match=r"not finite at x=array\(\[1\.e\+200"):
+        dfo_escape(example2d, np.array([1e200, 0.0]), D1, DfoState(mu=1.0), params)
 
 
 def test_a_probe_that_overflows_is_rejected_not_blamed(example2d, caplog):
