@@ -178,9 +178,12 @@ def _load_cluster_data(args) -> MsscProblem:
 
 
 def _build_problem(args):
-    if args.problem == "example2d":
-        return Example2dProblem()
-    return _load_cluster_data(args)
+    if args.problem == "mssc":
+        return _load_cluster_data(args)
+    given = [f"--{name}" for name in ("data", "blobs", "k", "rho") if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"--problem example2d takes no {', '.join(given)}")
+    return Example2dProblem()
 
 
 def cmd_solve(args) -> int:

@@ -10,6 +10,7 @@ fixed order is what makes trajectories reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,23 +86,17 @@ def make_d3(m: int) -> PositiveSpanningSet:
     """Vertices of a regular m-simplex centered at the origin (m + 1 total).
 
     The m + 1 unit directions satisfy ``v_i . v_j = -1/m`` for i != j, so
-    they are maximally spread out.  Construction: take the standard basis
-    of R^(m+1), subtract the centroid, express the result in an
-    orthonormal basis of the hyperplane orthogonal to the all-ones vector,
-    and normalize.
+    they are maximally spread out.  Column j - 1 (j = 1..m) is the j-th
+    Helmert contrast with unit rows: ``sqrt((m + 1) / (m j (j + 1)))`` on
+    rows 0..j-2 and on row m, ``-sqrt(j (m + 1) / (m (j + 1)))`` on row
+    j - 1, and zeros between.  Each entry is one correctly rounded division
+    and square root, so the bits hold on any build.
     """
     m = as_count(m, "m")
-    n = m + 1
-    # Basis of the hyperplane 1^T z = 0 in R^(m+1): columns e_i - e_n.
-    basis = np.zeros((n, m))
-    basis[:m, :] = np.eye(m)
-    basis[m, :] = -1.0
-    q, _ = np.linalg.qr(basis)
-    # Centered basis vectors e_i - 1/n, already orthogonal to the all-ones
-    # vector, expressed in the q coordinates.
-    centered = np.eye(n) - 1.0 / n
-    dirs = centered @ q
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = np.zeros((m + 1, m))
+    for j in range(1, m + 1):
+        dirs[: j - 1, j - 1] = dirs[m, j - 1] = math.sqrt((m + 1) / (m * j * (j + 1)))
+        dirs[j - 1, j - 1] = -math.sqrt(j * (m + 1) / (m * (j + 1)))
     return PositiveSpanningSet(dirs, "d3")
 
 

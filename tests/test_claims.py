@@ -19,8 +19,13 @@ One DC step on clustering is a damped Lloyd step: each centroid moves
 toward the mean of the points nearest to it by a fixed fraction, and an
 empty one stays (ROADMAP item 15).  The undamped Lloyd iteration takes
 fewer iterations than BDCA, and BDCA fewer than DCA.
+
+BDCA+ ends lower on the mean than a cheap repair that moves empty
+centroids onto far data points and runs BDCA again, at more than twice
+the repair's ``eval_g`` calls (ROADMAP item 16).
 """
 
+import copy
 import itertools
 import statistics
 from collections import Counter
@@ -134,11 +139,18 @@ EMPTY = {
 CLUSTER_SOLVERS = {"DCA": run_dca, "BDCA": run_bdca, "BDCA+": run_bdca_plus}
 
 
-def _empty_clusters(problem, point):
+def _sq_dists(problem, point):
     a = problem.data.points
-    d = ((a[:, None, :] - point.reshape(problem.k, -1)[None, :, :]) ** 2).sum(axis=2)
-    nearest = d == d.min(axis=1)[:, None]
-    return int(problem.k - nearest.any(axis=0).sum())
+    return ((a[:, None, :] - point.reshape(problem.k, -1)[None, :, :]) ** 2).sum(axis=2)
+
+
+def _empty(d):
+    """Which centroids no data point is nearest to, given the distances."""
+    return ~(d == d.min(axis=1)[:, None]).any(axis=0)
+
+
+def _empty_clusters(problem, point):
+    return int(_empty(_sq_dists(problem, point)).sum())
 
 
 def _local_minimum_certificate(problem, point):
@@ -322,3 +334,49 @@ def test_lloyd_takes_fewer_iterations_than_bdca_and_bdca_fewer_than_dca(
         if abs(eval_phi(problem, x) - dca.final_phi) <= 1e-9
     ]
     assert at_dca == LLOYD_AT_DCA[k]
+
+
+def _counting(problem):
+    """A copy of ``problem`` whose ``eval_g`` counts its calls in ``g_calls``."""
+    counted = copy.copy(problem)
+    counted.g_calls = 0
+
+    def eval_g(x):
+        counted.g_calls += 1
+        return type(problem).eval_g(counted, x)
+
+    counted.eval_g = eval_g
+    return counted
+
+
+def _repair_empty_clusters(problem, x0):
+    """BDCA; then, while its endpoint has an empty cluster, each empty
+    centroid moves onto the data point farthest from its nearest centroid
+    (distinct points, farthest first) and BDCA runs again from there."""
+    res = run_bdca(problem, x0)
+    while True:
+        d = _sq_dists(problem, res.final_point)
+        empty = _empty(d)
+        if not empty.any():
+            return res
+        c = res.final_point.reshape(problem.k, -1).copy()
+        farthest = np.argsort(-d.min(axis=1), kind="stable")
+        c[empty] = problem.data.points[farthest[: empty.sum()]]
+        res = run_bdca(problem, c.ravel())
+
+
+@pytest.mark.parametrize("k", sorted(EMPTY))
+def test_bdca_plus_ends_lower_than_repairing_empty_clusters(cluster_problems, k):
+    """The direct search finds more than a cheap repair of empty clusters
+    (the J-means move of Hansen & Mladenovic 2001), at more than twice the
+    repair's ``eval_g`` calls; the repair's own distance pass is not
+    counted."""
+    plus, repair = [], []
+    for i in range(6):
+        x0 = draw_start(cluster_problems[k], 0, i)
+        for runs, solve in ((plus, run_bdca_plus), (repair, _repair_empty_clusters)):
+            counted = _counting(cluster_problems[k])
+            runs.append((solve(counted, x0).final_phi, counted.g_calls))
+    assert statistics.mean(p for p, _ in plus) < statistics.mean(p for p, _ in repair)
+    assert sum(r < p - 1e-9 for (p, _), (r, _) in zip(plus, repair)) <= 1
+    assert statistics.median(c for _, c in repair) < 0.5 * statistics.median(c for _, c in plus)

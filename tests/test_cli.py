@@ -179,6 +179,20 @@ def test_solve_mssc_requires_data(capsys):
 
 
 @pytest.mark.parametrize(
+    "flag", [["--data", "pts.csv"], ["--blobs", "3x3"], ["--k", "4"], ["--rho", "0.5"]],
+    ids=["data", "blobs", "k", "rho"],
+)
+@pytest.mark.parametrize(
+    "argv", [["solve", "--algo", "dca", "--x0=0,1"], ["check", "--point=-1,-1"]], ids=["solve", "check"]
+)
+def test_example2d_rejects_the_clustering_flags(capsys, argv, flag):
+    # Unchecked, the flag is ignored and the run exits 0.
+    code = run_cli(argv[0], "--problem", "example2d", *argv[1:], *flag)
+    assert code == 2
+    assert f"--problem example2d takes no {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv, name",
     [
         (["--problem", "example2d", "--algo", "dca", "--x0=0.3,0.7", "--eps1", "nan"], "eps1"),

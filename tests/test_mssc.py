@@ -17,6 +17,7 @@ from dcboost import (
     run_bdca_plus,
     run_dca,
 )
+from dcboost.bench import draw_start
 from dcboost.core import ProblemDefinitionError
 from dcboost.solvers import DfoState, dfo_escape
 from dcboost.spanning import make_d1
@@ -532,6 +533,25 @@ def test_bdca_plus_final_phi_is_invariant_under_translation():
             assert final_phi == reference
         else:
             assert abs(final_phi - reference) <= 1e-9, shift
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ProblemDefinitionError,
+    reason=(
+        "g - h cancels with |g| of order 1e8: every run raises 'descent "
+        "guarantee violated' (ROADMAP items 1 and 17)"
+    ),
+)
+def test_dca_is_not_blamed_for_a_far_empty_centroid():
+    """Centroid 0 moved 1e4 away from data about 22 wide is empty, so phi
+    is what it is without it and the problem is correct: no DCA run from
+    such a start may raise."""
+    problem = MsscProblem(generate_blobs(4, 200, seed=0), 8)
+    for i in range(6):
+        x0 = draw_start(problem, 0, i)
+        x0[0] += 1e4
+        run_dca(problem, x0)
 
 
 def test_shared_instance_across_threads_matches_sequential_runs():

@@ -62,18 +62,18 @@ def test_d3_line_is_forced():
     assert sorted(np.round(dirs.ravel(), 12)) == [-1.0, 1.0]
 
 
-# SHA-256 of make_d3(m).directions.tobytes().  The bits come from LAPACK's
-# qr and the BLAS product in make_d3, so they hold for one BLAS build:
-# numpy 2.4.6 with scipy-openblas 0.3.31 (DYNAMIC_ARCH, Haswell kernel).
+# SHA-256 of make_d3(m).directions.tobytes().  Each entry is one IEEE-754
+# division and one square root, both correctly rounded, so the bits come
+# from the arithmetic alone and hold on any build.
 D3_DIGESTS = {
     1: "723f1c3eac1d2c306857db9f4466b219af88d13fb056836892154fcd058c55d5",
-    2: "168a8a02b18f1998306b7a01e0237e9cee09bf19c410a4ef82732eec01d9115d",
-    3: "8bfd0f72932fe9216fdcab5b1ec3fe076082eb697c7b854ea4ad34a78f98360b",
-    4: "acdf827e9a9b0086fe15ae7f1291f6fc5cf8bdc8847445abf612b16201f839e5",
-    5: "3afb66be3a5cbb54496d5c45d137f1aa9e0a841bbca1ec154162a0051a4f8d3e",
-    6: "1820ae0ab008529504c7f841e48404f930cf02d838589b07a98f893e62358536",
-    7: "5b978b4a815c5c53826b695f9687d95b14d60e770844a5ab589f3f50d054bd58",
-    8: "f28b0c2c64a1104804201bca35ce8cebcd3353134e5d40b7ee8e4eeb0fb2bb49",
+    2: "f57a7bac9a5d644095813b899b8ce16a9a904abfa7cb9e67027f7518531ffa61",
+    3: "13b7e2678306fac912579af1a93d3ea91f6ebdf465eacf24ff89e72908a9cbbe",
+    4: "cb014f0a674400449ba7529cfdd003e52112a56d1ae2cb3534e25ce7e87ce5c4",
+    5: "5c551a3265aadf462ace58845e203601323c2fe55ed69ec5685d0095dc4b5b74",
+    6: "17de3e0d46b8eb0af58a83aae3320c2817bdd9f743d0a51bfd8e9fa334a5799a",
+    7: "8dfac42e436884e9215e8cca5bc103ad7376eb060546f78776f0c5328f4bdfaa",
+    8: "f0f66eb753938591db152abdeaab7cabc29c4f46c25d19c91518808908ddf331",
 }
 
 
@@ -81,6 +81,16 @@ D3_DIGESTS = {
 def test_d3_bytes_are_pinned(m):
     digest = hashlib.sha256(make_d3(m).directions.tobytes()).hexdigest()
     assert digest == D3_DIGESTS[m]
+
+
+def test_d3_needs_no_lapack_or_blas(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_d3 called a linear algebra routine")
+
+    for owner, name in ((np.linalg, "qr"), (np.linalg, "svd"), (np, "dot"), (np, "matmul")):
+        monkeypatch.setattr(owner, name, refuse)
+    for m, expected in D3_DIGESTS.items():
+        assert hashlib.sha256(make_d3(m).directions.tobytes()).hexdigest() == expected
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 20, 200])
