@@ -12,7 +12,6 @@ but are the one field excluded from that contract.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -122,6 +121,32 @@ def classify_limit_point(
         if math.dist(x, p) <= LABEL_TOL:
             return label
     return UNCLASSIFIED
+
+
+class ProcessPoolExecutor:
+    """The standard library's process pool, imported when one starts.
+
+    A run that starts no pool (one worker) then never loads
+    ``multiprocessing``.  The pool is reached through this module-level
+    name, so a caller can subclass or replace it (to time the start, or to
+    run the chunks serially); it forwards the three calls
+    :func:`_run_chunks` makes.
+    """
+
+    def __init__(self, max_workers: int):
+        import concurrent.futures
+
+        self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
+
+    def __enter__(self) -> ProcessPoolExecutor:
+        self._pool.__enter__()
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        return self._pool.__exit__(*exc)
+
+    def map(self, fn, *iterables):
+        return self._pool.map(fn, *iterables)
 
 
 def _chunk_ranges(n: int, n_chunks: int) -> list[tuple[int, int]]:

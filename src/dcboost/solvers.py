@@ -29,10 +29,11 @@ first-order residual ``||grad_g(y_k) - u_k|| <= 1e-8 * (1 + ||u_k||)``
 and the strong-convexity descent guarantee
 ``phi(y_k) <= phi(x_k) - rho * ||d_k||^2`` (with floating-point slack).
 Violations raise :class:`~dcboost.core.ProblemDefinitionError`, as does a
-non-finite objective at the start or at any ``y_k``.  A line-search trial
-or a direct-search probe whose objective is not finite only fails the
-test it was made for: a correct problem can overflow far from the points
-a run keeps.
+non-finite objective at any ``y_k`` or a NaN one at the start.  A start
+where g or h overflows is the caller's input and raises ``ValueError``.
+A line-search trial or a direct-search probe whose objective is not
+finite only fails the test it was made for: a correct problem can
+overflow far from the points a run keeps.
 """
 
 from __future__ import annotations
@@ -321,6 +322,18 @@ def dfo_escape(
     return DfoOutcome(x_next, phi_next, DfoEvent(mu_tried, mu_accepted, index))
 
 
+def _start_phi(problem: DcProblem, x: Point) -> float:
+    """The objective at the start.  Where it is not finite and neither
+    oracle is NaN, g or h overflowed at the caller's point: a
+    ``ValueError``.  A NaN is the problem's fault."""
+    try:
+        return eval_phi(problem, x)
+    except ProblemDefinitionError:
+        if math.isnan(problem.eval_g(x)) or math.isnan(problem.eval_h(x)):
+            raise
+        raise ValueError(f"the objective overflows at the start x0={x!r}") from None
+
+
 def _drive(
     problem: DcProblem,
     x0: Point,
@@ -333,15 +346,15 @@ def _drive(
     if params is None:
         params = SolverParams()
     x = as_point(np.array(x0, dtype=float), problem.dim)
-    phi_x = eval_phi(problem, x)
     searches: deque[tuple[float, float]] = deque(maxlen=2)
     dfo_state = DfoState(mu=params.mu_bar)
     records: list[IterationRecord] = []
     termination: Optional[Termination] = None
-    t0 = time.perf_counter()
     # A trial or probe far from the points a run keeps may overflow; it
     # fails its test only, and numpy warns of none of its steps.
     with np.errstate(over="ignore", invalid="ignore"):
+        phi_x = _start_phi(problem, x)
+        t0 = time.perf_counter()
         for k in range(params.max_iter):
             y, d, u, phi_y, dd = _dc_step(problem, x, phi_x)
             lam = trial = 0.0

@@ -161,6 +161,23 @@ def test_solve_bad_x0_is_usage_error(capsys, x0, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--problem", "example2d", "--x0=1e200,0"],
+        ["--problem", "mssc", "--blobs", "3x30", "--k", "2", "--x0=1e200,0,0,0"],
+    ],
+    ids=["example2d", "mssc"],
+)
+def test_solve_start_where_the_objective_overflows_is_usage_error(capsys, argv):
+    # The start is finite but g and h overflow there: the caller's input,
+    # not a fault of the problem (which would exit 1).  Warnings are errors
+    # in this suite, so numpy's overflow warning would fail the run too.
+    code = run_cli("solve", "--algo", "dca", *argv)
+    assert code == 2
+    assert "the objective overflows at the start x0=array([1.e+200," in capsys.readouterr().err
+
+
 def test_solve_unknown_flag_is_usage_error(capsys):
     code = run_cli("solve", "--problem", "example2d", "--algo", "dca", "--nope")
     assert code == 2
@@ -310,7 +327,27 @@ def test_write_json_encodes_into_the_file(tmp_path):
 # ----------------------------------------------------------------- table1
 
 
-def test_table1_outputs_and_determinism(tmp_path):
+@pytest.fixture
+def pools(monkeypatch):
+    """The standard library pools that runs start, by worker count; the
+    pool itself is not replaced."""
+    import concurrent.futures
+
+    import dcboost.bench
+
+    started = []
+
+    class Recorded(dcboost.bench.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            assert type(self._pool) is concurrent.futures.ProcessPoolExecutor
+            started.append(max_workers)
+
+    monkeypatch.setattr(dcboost.bench, "ProcessPoolExecutor", Recorded)
+    return started
+
+
+def test_table1_outputs_and_determinism(tmp_path, pools):
     csv1, json1 = tmp_path / "a.csv", tmp_path / "a.json"
     csv2, json2 = tmp_path / "b.csv", tmp_path / "b.json"
     csv3, json3 = tmp_path / "c.csv", tmp_path / "c.json"
@@ -320,6 +357,7 @@ def test_table1_outputs_and_determinism(tmp_path):
     assert (
         run_cli(*base, "--csv", str(csv3), "--json", str(json3), "--workers", "2") == 0
     )
+    assert pools == [2]
     assert csv1.read_bytes() == csv2.read_bytes() == csv3.read_bytes()
     assert json1.read_bytes() == json2.read_bytes() == json3.read_bytes()
 
@@ -346,7 +384,7 @@ def test_table1_seed_changes_output(tmp_path):
 # ---------------------------------------------------------------- cluster
 
 
-def test_cluster_outputs_and_determinism(tmp_path):
+def test_cluster_outputs_and_determinism(tmp_path, pools):
     args = [
         "cluster", "--blobs", "3x30", "--k", "2", "--starts", "6", "--seed", "1",
     ]
@@ -356,6 +394,7 @@ def test_cluster_outputs_and_determinism(tmp_path):
     assert run_cli(*args, "--csv", str(csv1), "--json", str(json1)) == 0
     assert run_cli(*args, "--csv", str(csv2), "--json", str(json2)) == 0
     assert run_cli(*args, "--csv", str(csv3), "--json", str(json3), "--workers", "2") == 0
+    assert pools == [2]
     assert csv1.read_bytes() == csv2.read_bytes() == csv3.read_bytes()
     assert json1.read_bytes() == json2.read_bytes() == json3.read_bytes()
 
@@ -601,3 +640,27 @@ def test_module_runs_from_a_source_checkout(tmp_path):
     proc = run("solve", "--problem", "example2d", "--algo", "dca", "--seed", "-1")
     assert proc.returncode == 2
     assert "argument --seed" in proc.stderr
+
+
+def test_a_run_without_a_pool_loads_no_multiprocessing(tmp_path):
+    """A fresh interpreter that solves and clusters with one worker never
+    imports the process pool; ``--workers 2`` above starts the real one."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+from dcboost.cli import main
+assert main(["solve", "--problem", "example2d", "--algo", "bdca+", "--x0=0,1"]) == 0
+assert main(["cluster", "--blobs", "3x30", "--k", "2", "--starts", "2", "--workers", "1"]) == 0
+print(sorted({{"multiprocessing", "concurrent.futures.process"}} & set(sys.modules)))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

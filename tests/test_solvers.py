@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import re
 from pathlib import Path
 
@@ -383,6 +384,22 @@ X0 = np.array([0.3, 0.7])
 def test_a_nan_oracle_is_still_blamed_at_the_start(runner):
     with pytest.raises(ProblemDefinitionError, match=r"not finite at x=array\(\[0\.3, 0\.7\]\)"):
         runner(_NanAt(lambda x: True), X0)
+
+
+class _Overflowing(Example2dProblem):
+    """Example2d whose g and h are infinite everywhere, so phi is NaN."""
+
+    def eval_g(self, x):
+        return math.inf
+
+    def eval_h(self, x):
+        return math.inf
+
+
+@pytest.mark.parametrize("runner", [run_dca, run_bdca, run_bdca_plus])
+def test_an_overflowing_start_is_the_callers_input(runner):
+    with pytest.raises(ValueError, match=r"overflows at the start x0=array\(\[0\.3, 0\.7\]\)"):
+        runner(_Overflowing(), X0)
 
 
 @pytest.mark.parametrize("runner", [run_dca, run_bdca, run_bdca_plus])
