@@ -204,7 +204,7 @@ class _Workspace:
     :class:`MsscProblem`).  ``cols`` holds the base's distances by
     centroid; ``dists`` holds them by data point, but in column ``col``,
     where a probe wrote its own.  Row sums and minima keep the base's in
-    row 0 and a probe's in row 1; ``labels`` are the base's once ``labeled``."""
+    row 0 and a probe's in row 1; ``labels`` are the point's once ``labeled``."""
 
     def __init__(self, n: int, k: int):
         self.key = self.base_key = self.total = self.reg = None
@@ -215,8 +215,7 @@ class _Workspace:
         self.row_sums, self.row_min = np.empty((2, n)), np.empty((2, n))
         self.pair, self.row = np.empty((2, n)), np.empty(n)  # a probe's; eval_h's
         self.c_sq_one = np.ones((k, 2))  # a whole pass's [|c|^2, 1]
-        self.mask = np.empty(n, dtype=bool)  # comparisons' scratch
-        self.attains = np.empty((k - 1, n), dtype=bool)  # made by _label
+        self.mask = np.empty(n, dtype=bool)  # _nearest_other's scratch
         # By plan index (see _row_sum_plan): the base's columns, its k-2
         # partial row sums below the row sum, and 0.0 last.
         self.operands = [*self.cols, *np.empty((max(k - 2, 0), n)), 0.0]
@@ -232,21 +231,22 @@ class MsscProblem(DcProblem):
     ``eval_g``, ``eval_h`` and ``subgrad_h`` at one point share one pass
     over the data; ``dir_deriv_h`` and ``phi_direct``, which check them,
     compute from the data alone.  Each thread that calls the instance
-    gets its own buffers, which hold the squared distances, the
-    nearest-centroid labels, the row sums and minima of the last point
-    it saw, keyed by that point's float64 bytes, and which every new
-    point rewrites in place.  Every result is bit-identical to a
-    fresh instance's, and threads never share a buffer, so a shared
-    instance stays safe.
+    gets its own buffers, which hold the squared distances, the row sums
+    and minima and, once the subgradient asks, the nearest-centroid
+    labels of the last point it saw, keyed by that point's float64
+    bytes, and which every new point rewrites in place.  Every result is
+    bit-identical to a fresh instance's, and threads never share a
+    buffer, so a shared instance stays safe.
 
     A whole pass computes the distances by centroid, as k contiguous rows
     of n: the row minima by ``np.minimum.reduce`` over the rows, the row
     sums by numpy's pairwise order for ``np.add.reduce(axis=1)``
-    (:func:`_row_sum_plan`), keeping the partial sums, and, when the
-    subgradient first needs them, the labels as the first row that equals
-    the minimum (argmin's first-index rule).  The n-by-k matrix by data
-    point is filled from the rows because the total is ``dists.sum()``,
-    which adds it in C order.
+    (:func:`_row_sum_plan`), keeping the partial sums.  The n-by-k matrix
+    by data point is filled from the rows because the total is
+    ``dists.sum()``, which adds it in C order.  The labels have one rule,
+    at a base or a probe alike: ``dists.argmin(axis=1)``, each row's first
+    nearest column (a row's first NaN, if it has one), read from that
+    matrix when the subgradient first asks.
 
     The last point a whole pass built is the thread's base; its row sums
     and minima are row 0 of the workspace's buffers.  With a finite base
@@ -257,8 +257,8 @@ class MsscProblem(DcProblem):
     (kept while the probes move the same centroid), the row sums by adding
     again the path from column j from the base's partial sums, and the
     total as ``dists.sum()`` with the column written in, which touches the
-    whole matrix.  Any other point, the base's own included, and a probe
-    whose labels are asked for take a whole pass, which becomes the base.
+    whole matrix.  Any other point, the base's own included, takes a whole
+    pass, which becomes the base.
     Probes run only for 2-D data with k >= 2 and n >= 2: with more
     coordinates a probe's two-row product can round differently from the
     same row of the whole pass's.
@@ -311,8 +311,7 @@ class MsscProblem(DcProblem):
     def _sq_dists(self, c: np.ndarray) -> float:
         """The whole pass: squared distances data-point-to-centroid, with
         each data point's minimum and sum, built into the calling thread's
-        buffers; returns their total.  The labels follow in :meth:`_label`,
-        when first asked for, except where a distance is NaN.
+        buffers; returns their total.
 
         Every element is ``|a|^2 + |c|^2 - 2 a.c`` clamped at 0 and rounded
         as that expression rounds over the matrix ``a @ c.T``: scaling by
@@ -320,7 +319,6 @@ class MsscProblem(DcProblem):
         """
         ws = self._workspace()
         ws.key = ws.base_key = ws.col = None
-        ws.labeled = False
         cols, row_min = ws.cols, ws.row_min[0]
         if self.k > 1 and self.data.n > 1:
             np.matmul(c, self._a_t, out=cols)  # gemm rounds each a.c as in a @ c.T
@@ -343,23 +341,7 @@ class MsscProblem(DcProblem):
         np.minimum.reduce(cols, axis=0, out=row_min)
         self._row_sums(ws)
         np.copyto(ws.dists, cols.T)
-        total = float(ws.dists.sum())
-        if math.isnan(total):  # argmin takes a row's first NaN, _label none
-            ws.dists.argmin(axis=1, out=ws.labels)
-            np.copyto(row_min, np.take_along_axis(ws.dists, ws.labels[:, None], 1)[:, 0])
-            ws.labeled = True
-        return total
-
-    def _label(self, ws: _Workspace) -> None:
-        """The base's labels with argmin's first-index rule: the columns,
-        from last to first, mark where they attain the row minimum, so the
-        first column's mark is written last."""
-        labels = ws.labels
-        attains = np.equal(ws.cols[:-1], ws.row_min[0], out=ws.attains)
-        labels.fill(self.k - 1)
-        for j in range(self.k - 2, -1, -1):
-            np.putmask(labels, attains[j], j)
-        ws.labeled = True
+        return float(ws.dists.sum())
 
     @staticmethod
     def _finish(prod: np.ndarray, sq: np.ndarray) -> None:
@@ -444,16 +426,17 @@ class MsscProblem(DcProblem):
         ``x`` (until its next call at another point); the last point's
         buffers are reused, a probe is evaluated from the base, and any
         other point, the base's own included, takes a whole pass.  With
-        ``labels``, the point is the base, its labels written: a probe
-        takes a whole pass."""
+        ``labels``, the labels too, at a base or a probe alike: each row's
+        first nearest column of ``dists``, which holds the point's."""
         c = self._centroids(x)
         key = c.tobytes()
         ws = self._workspace()
-        if ws.key != key or (labels and ws.side):
+        if ws.key != key:
             # Cleared before any buffer is written: a call that fails midway
             # leaves no point for the next one to reuse.
             ws.key = j = None
-            if not labels and ws.base_key is not None and self._probes:
+            ws.labeled = False
+            if ws.base_key is not None and self._probes:
                 j = self._moved(key, ws.base_key)
             if j is None:
                 total = self._sq_dists(c)
@@ -465,7 +448,8 @@ class MsscProblem(DcProblem):
             ws.side = 0 if j is None else 1
             ws.key = key
         if labels and not ws.labeled:
-            self._label(ws)
+            ws.dists.argmin(axis=1, out=ws.labels)
+            ws.labeled = True
         return c, ws
 
     def eval_g(self, x: Point) -> float:

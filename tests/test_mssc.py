@@ -632,6 +632,8 @@ def _bits(value):
     integer=st.booleans(),
     huge=st.sampled_from([None, 1e200, 1e306]),
 )
+@example(seed=0, dim_space=2, scale=1e3, hit=False, tie=True, integer=False, huge=1e306)
+@example(seed=0, dim_space=2, scale=1.0, hit=True, tie=True, integer=False, huge=1e200)
 def test_blocked_pass_matches_whole_matrix_formulas(
     k, rows, seed, dim_space, scale, hit, tie, integer, huge
 ):
@@ -640,7 +642,9 @@ def test_blocked_pass_matches_whole_matrix_formulas(
     (8192 distances, up to n = 16387 at k = 1), on exact hits, tied
     centroids, an integer-dtype point and a centroid at 1e200 (infinite
     distances) or 1e306 (products that overflow: NaN distances).  k = 9
-    and 17 put a label one column past a multiple of 8."""
+    and 17 put a label one column past a multiple of 8.  The examples run
+    both far centroids every time: a row with a NaN takes its first NaN's
+    label in ``subgrad_h``."""
     b = 8192 // k
     sizes = {"B-1": b - 1, "B": b, "B+1": b + 1, "2B+3": 2 * b + 3}
     n = int(rows) if rows.isdigit() else sizes[rows]
@@ -946,31 +950,52 @@ def test_certification_scan_makes_no_whole_pass_per_probe(matrix_count, monkeypa
         problem = MsscProblem(data, k=8)
         x0 = problem.sample_start(np.random.default_rng(3))
         cases.append((data, run_bdca_plus(problem, x0).final_point))
-    evals = {"eval_g": 0, "_label": 0}
-    eval_g, label = MsscProblem.eval_g, MsscProblem._label
+    evals = {"eval_g": 0, "labels": 0}
+    eval_g, at = MsscProblem.eval_g, MsscProblem._at
 
     def counted_eval_g(self, x):
         evals["eval_g"] += 1
         return eval_g(self, x)
 
-    def counted_label(self, ws):
-        evals["_label"] += 1
-        return label(self, ws)
+    def counted_at(self, x, labels=False):
+        evals["labels"] += labels
+        return at(self, x, labels)
 
     monkeypatch.setattr(MsscProblem, "eval_g", counted_eval_g)
-    monkeypatch.setattr(MsscProblem, "_label", counted_label)
+    monkeypatch.setattr(MsscProblem, "_at", counted_at)
     for data, y in cases:
         problem = MsscProblem(data, k=8)
         problem.eval_g(y)
         before = matrix_count["matrices"]
-        evals["eval_g"] = evals["_label"] = 0
+        evals["eval_g"] = evals["labels"] = 0
         pss = make_d1(problem.dim)
         outcome = dfo_escape(problem, y, pss, DfoState(mu=params.mu_bar), params)
         assert outcome.x_next is None
         probes = len(outcome.event.mu_tried) * len(pss.directions)
         assert evals["eval_g"] == 1 + probes
-        assert evals["_label"] == 0
+        assert evals["labels"] == 0
         assert matrix_count["matrices"] == before, data.n
+
+
+def test_subgradient_at_a_probe_takes_no_whole_pass(matrix_count):
+    """The subgradient at a probe reads its labels from the probe's
+    matrix, whose column has a whole pass's bits: six D1 probes from a
+    base build no matrix and match a fresh instance bit for bit."""
+    data = generate_blobs(4, 200, seed=0)
+    problem = MsscProblem(data, 8)
+    y = problem.sample_start(np.random.default_rng(0))
+    problem.eval_g(y)  # the whole pass: the base
+    base_labels = problem._at(y, labels=True)[1].labels.copy()
+    before = matrix_count["matrices"]
+    probes = y + 0.5 * make_d1(problem.dim).directions[::5][:6]  # six centroids
+    got = [problem.subgrad_h(x) for x in probes]
+    assert matrix_count["matrices"] == before
+    relabelled = 0
+    for x, sub in zip(probes, got):
+        fresh = MsscProblem(data, 8)
+        assert _bits(sub) == _bits(fresh.subgrad_h(x))
+        relabelled += not np.array_equal(fresh._at(x)[1].labels, base_labels)
+    assert relabelled  # the base's labels would not pass
 
 
 def test_a_probe_that_overflows_is_evaluated_from_the_base(matrix_count):
