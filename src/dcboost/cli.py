@@ -20,7 +20,7 @@ import json
 import logging
 import sys
 from contextlib import nullcontext
-from typing import Optional, get_type_hints
+from typing import Optional
 
 import numpy as np
 
@@ -112,13 +112,9 @@ def _parse_blob_spec(text: str) -> tuple[int, int]:
         raise ValueError(f"--blobs expects 'NxP' (e.g. 4x200), got {text!r}")
 
 
-# One --flag per SolverParams field (``mu_bar`` -> ``--mu-bar``); the
-# integer fields parse as int, all others as float.
-_PARAM_HINTS = get_type_hints(SolverParams)
-_PARAM_TYPES = {
-    f.name: int if _PARAM_HINTS[f.name] is int else float
-    for f in dataclasses.fields(SolverParams)
-}
+# One --flag per SolverParams field (``mu_bar`` -> ``--mu-bar``), parsed
+# as the type of its default: int for max_iter, float for the others.
+_PARAM_TYPES = {f.name: type(f.default) for f in dataclasses.fields(SolverParams)}
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:

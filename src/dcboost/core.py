@@ -110,10 +110,9 @@ class SolverParams:
         beta2: shrink factor of the direct-search radius, in (0, 1).
         eps1: criticality tolerance on the DC displacement ``||y_k - x_k||``.
         eps2: direct-search stopping radius.
-        mu_bar: initial direct-search radius.
-        eta: growth factor applied to the radius when the direct search is
-            re-entered.  Defaults to ``1 / beta2`` (undo the last shrink).
-        tau: additive offset applied alongside ``eta``.  Defaults to ``eps2``.
+        mu_bar: initial direct-search radius.  Each entry to the direct
+            search starts at ``mu/beta2 + eps2``, ``mu`` being the radius
+            the last entry ended at (``mu_bar`` before the first).
         gamma: growth factor of the self-adaptive trial step, > 1.
         lambda_bar1: trial step used the second time the line search runs
             (the first trial is always 0).
@@ -126,17 +125,11 @@ class SolverParams:
     eps1: float = 1e-8
     eps2: float = 1e-4
     mu_bar: float = 10.0
-    eta: Optional[float] = None
-    tau: Optional[float] = None
     gamma: float = 2.0
     lambda_bar1: float = 10.0
     max_iter: int = 10000
 
     def __post_init__(self) -> None:
-        if self.eta is None:
-            object.__setattr__(self, "eta", 1.0 / self.beta2)
-        if self.tau is None:
-            object.__setattr__(self, "tau", self.eps2)
         # range() in the driver loop takes integers only, not 1e3 or inf.
         object.__setattr__(self, "max_iter", as_count(self.max_iter, "max_iter"))
         for f in dataclasses.fields(self):
@@ -157,15 +150,10 @@ class SolverParams:
             raise ValueError("eps2 must be positive")
         if self.mu_bar <= 0.0:
             raise ValueError("mu_bar must be positive")
-        if self.eta < 0.0:
-            raise ValueError("eta must be nonnegative")
-        if self.tau < 0.0:
-            raise ValueError("tau must be nonnegative")
-        # The first direct-search radius: at 0 the scan "certifies" any
-        # point, at inf every probe overflows (plain floats: no warning).
-        first_mu = float(self.eta) * float(self.mu_bar) + float(self.tau)
-        if not 0.0 < first_mu < math.inf:
-            raise ValueError("eta*mu_bar + tau must be positive and finite")
+        # The first direct-search radius, positive as mu_bar and eps2 are:
+        # at inf every probe overflows (plain floats: no warning).
+        if not (1.0 / float(self.beta2)) * float(self.mu_bar) + float(self.eps2) < math.inf:
+            raise ValueError("mu_bar/beta2 + eps2 must be finite")
         if self.lambda_bar1 <= 0.0:
             raise ValueError("lambda_bar1 must be positive")
 

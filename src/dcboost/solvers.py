@@ -89,7 +89,8 @@ _MAX_SHRINKS = 200
 
 @dataclass
 class DfoState:
-    """Direct-search radius, persistent across escape invocations in a run."""
+    """The radius a run's last direct search ended at (``mu_bar`` before
+    the first); the next starts at ``mu/beta2 + eps2``."""
 
     mu: float
 
@@ -276,13 +277,14 @@ def dfo_escape(
 ) -> DfoOutcome:
     """Direct-search probe around a stalled point.
 
-    On entry the persistent radius grows once (``mu <- eta*mu + tau``),
-    then the spanning set is scanned in order at that radius.  The first
-    direction with ``phi(y + mu*v) < phi(y)`` (strictly, beyond a small
-    floating-point guard) wins: the probe point is returned and the
-    current radius is kept in ``state``.  If a full scan fails and the
-    radius still exceeds ``eps2`` it shrinks by ``beta2`` and the scan
-    repeats; otherwise the point is certified and ``x_next`` is ``None``.
+    On entry the radius in ``state`` grows once, to ``mu/beta2 + eps2``
+    (the last shrink undone, plus the stopping radius), then the spanning
+    set is scanned in order at that radius.  The first direction with
+    ``phi(y + mu*v) < phi(y)`` (strictly, beyond a small floating-point
+    guard) wins: the probe point is returned and the current radius is
+    kept in ``state``.  If a full scan fails and the radius still exceeds
+    ``eps2`` it shrinks by ``beta2`` and the scan repeats; otherwise the
+    point is certified and ``x_next`` is ``None``.
 
     A probe whose objective is not finite does not improve, and the scan
     moves on; such probes are counted in one logged warning.
@@ -297,7 +299,7 @@ def dfo_escape(
     # The guard's 1 + (|g| + |h| at y_k) + (|g| + |h| at the probe) adds
     # left to right, so its first sum is the same at every probe.
     guard_y = 1.0 + (abs(g) + abs(h))
-    mu = params.eta * state.mu + params.tau
+    mu = (1.0 / params.beta2) * state.mu + params.eps2
     mu_tried: list[float] = []
     x_next = phi_next = index = None
     rejected = 0

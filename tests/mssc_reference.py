@@ -38,12 +38,15 @@ class CentredMssc(DcProblem):
     def _centred(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float).reshape(self.k, -1) - self._mean
 
+    def _sq_dists(self, u: np.ndarray) -> np.ndarray:
+        """||b_i - u_j||^2 by direct differences, one row per data point."""
+        pairs = zip(self._b.T, u.T)
+        return sum(np.square(np.subtract.outer(b_t, u_t)) for b_t, u_t in pairs)
+
     def _phi_labels(self, x) -> tuple[float, np.ndarray]:
         key = np.asarray(x, dtype=float).tobytes()
         if self._memo[0] != key:
-            u = self._centred(x)
-            pairs = zip(self._b.T, u.T)
-            d = sum(np.square(np.subtract.outer(b_t, u_t)) for b_t, u_t in pairs)
+            d = self._sq_dists(self._centred(x))
             self._memo = (key, float(d.min(axis=1).mean()), d.argmin(axis=1))
         return self._memo[1:]
 
@@ -63,6 +66,17 @@ class CentredMssc(DcProblem):
         sums = np.stack([np.bincount(labels, b_t, self.k) for b_t in self._b.T], axis=1)
         grad_phi = (2.0 / self.data.n) * (counts[:, None] * u - sums)
         return ((2.0 + self.rho) * u - grad_phi).ravel()
+
+    def dir_deriv_h(self, x, d) -> float:
+        """h'(x; d) = g'(x; d) - phi'(x; d).  Point i's term of phi moves at
+        the smallest rate 2<u_j - b_i, d_j> over its nearest centroids j,
+        the ties found by exact equality of the direct distances."""
+        u, du = self._centred(x), np.asarray(d, dtype=float).reshape(self.k, -1)
+        dists = self._sq_dists(u)
+        rates = 2.0 * (np.einsum("jt,jt->j", u, du)[None, :] - self._b @ du.T)
+        ties = dists == dists.min(axis=1, keepdims=True)
+        phi_prime = float(np.where(ties, rates, np.inf).min(axis=1).mean())
+        return (2.0 + self.rho) * float(np.einsum("jt,jt->", u, du)) - phi_prime
 
     def solve_subproblem(self, v) -> np.ndarray:
         # grad_g(y) = v reads (2 + rho) * (y_j - ā) = v_j blockwise.

@@ -13,7 +13,9 @@ or misplaced centroids, not from escaping a point that is not
 d-stationary.  Each of those endpoints, and each point BDCA+ escapes
 from, is a certified local minimum, and every escape moves a centroid by
 many times the certificate's radius.  README "What reproduces" quotes
-these numbers.
+these numbers.  These clustering pins hold on ``MsscProblem`` and on the
+centred formulation of ``mssc_reference.CentredMssc`` (ROADMAP item 18),
+from the same starts; only BDCA+'s escape counts at k = 8 differ.
 
 One DC step on clustering is a damped Lloyd step: each centroid moves
 toward the mean of the points nearest to it by a fixed fraction, and an
@@ -34,6 +36,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from mssc_reference import CentredMssc
 
 from dcboost import (
     Example2dProblem,
@@ -139,6 +142,8 @@ EMPTY = {
     4: {"DCA": [0, 0, 2, 2, 0, 2], "BDCA": [0, 0, 2, 2, 0, 2], "BDCA+": [0] * 6},
 }
 CLUSTER_SOLVERS = {"DCA": run_dca, "BDCA": run_bdca, "BDCA+": run_bdca_plus}
+# The clustering problem's two formulations, by name.
+FORMULATIONS = {"MsscProblem": MsscProblem, "CentredMssc": CentredMssc}
 
 
 def _sq_dists(problem, point):
@@ -184,28 +189,33 @@ def cluster_problems():
 
 @pytest.fixture(scope="module")
 def cluster_runs(cluster_problems):
-    """{k: {algorithm: [(run, passes the D1 check at tol 1e-6, empty clusters)]}}."""
+    """{(formulation, k): {algorithm: [(run, passes the D1 check at tol
+    1e-6, empty clusters)]}}, each formulation run from the starts
+    ``draw_start(MsscProblem, 0, i)``."""
     out = {}
-    for k, problem in cluster_problems.items():
+    for (form, make), (k, base) in itertools.product(
+        FORMULATIONS.items(), cluster_problems.items()
+    ):
+        problem = make(base.data, k)
         d1 = make_d1(problem.dim)
-        out[k] = {}
+        out[form, k] = {}
         for name, run in CLUSTER_SOLVERS.items():
             rows = []
             for i in range(6):
-                res = run(problem, draw_start(problem, 0, i))
+                res = run(problem, draw_start(base, 0, i))
                 x = res.final_point
                 check = check_d_stationarity(problem, x, d1, tol=1e-6)
                 rows.append((res, check.is_d_stationary, _empty_clusters(problem, x)))
-            out[k][name] = rows
+            out[form, k][name] = rows
     return out
 
 
 @pytest.mark.parametrize("k", sorted(EMPTY))
 def test_dca_and_bdca_cluster_endpoints_pass_the_first_order_check(cluster_runs, k):
-    for name in ("DCA", "BDCA"):
-        rows = cluster_runs[k][name]
-        assert all(passed for _, passed, _ in rows), name
-        assert [empty for _, _, empty in rows] == EMPTY[k][name], name
+    for form, name in itertools.product(FORMULATIONS, ("DCA", "BDCA")):
+        rows = cluster_runs[form, k][name]
+        assert all(passed for _, passed, _ in rows), (form, name)
+        assert [empty for _, _, empty in rows] == EMPTY[k][name], (form, name)
 
 
 # A centroid within this distance of its cluster's mean is at it: the
@@ -217,58 +227,70 @@ AT_MEAN = 1e-6
 def test_dca_and_bdca_cluster_endpoints_are_certified_local_minima(
     cluster_problems, cluster_runs, k
 ):
-    for name in ("DCA", "BDCA"):
-        for res, _, _ in cluster_runs[k][name]:
+    for form, name in itertools.product(FORMULATIONS, ("DCA", "BDCA")):
+        for res, _, _ in cluster_runs[form, k][name]:
             r_star, off = _local_minimum_certificate(cluster_problems[k], res.final_point)
-            assert r_star >= 3.7e-3 and off < AT_MEAN, (name, r_star, off)
+            assert r_star >= 3.7e-3 and off < AT_MEAN, (form, name, r_star, off)
 
 
-# BDCA+'s escapes over the six starts; each start also ends with one
-# certifying scan.
-ESCAPE_COUNTS = {4: 9, 8: 20}
+# BDCA+'s escapes over the six starts, by formulation; each start also
+# ends with one certifying scan.  BDCA+'s path moves with the last bit
+# (ROADMAP item 2), and at k = 8 two starts escape once more on the
+# centred formulation.
+ESCAPE_COUNTS = {
+    4: {"MsscProblem": 9, "CentredMssc": 9},
+    8: {"MsscProblem": 20, "CentredMssc": 22},
+}
 
 
 @pytest.mark.parametrize("k", sorted(EMPTY))
 def test_bdca_plus_escapes_certified_local_minima_by_non_local_moves(
     cluster_problems, cluster_runs, k
 ):
-    escapes = certifications = 0
-    for res, _, _ in cluster_runs[k]["BDCA+"]:
-        for rec in res.iterations:
-            event = rec.dfo_event
-            if event is None:
-                continue
-            r_star, off = _local_minimum_certificate(cluster_problems[k], rec.y_k)
-            assert r_star > 0.0 and off < AT_MEAN
-            if event.mu_accepted is None:
-                certifications += 1
-                assert event.mu_tried[-1] <= 0.042 * r_star
-            else:
-                escapes += 1
-                assert event.mu_accepted >= 16.0 * r_star
-    assert (escapes, certifications) == (ESCAPE_COUNTS[k], 6)
+    for form in FORMULATIONS:
+        escapes = certifications = 0
+        for res, _, _ in cluster_runs[form, k]["BDCA+"]:
+            for rec in res.iterations:
+                event = rec.dfo_event
+                if event is None:
+                    continue
+                r_star, off = _local_minimum_certificate(cluster_problems[k], rec.y_k)
+                assert r_star > 0.0 and off < AT_MEAN, form
+                if event.mu_accepted is None:
+                    certifications += 1
+                    assert event.mu_tried[-1] <= 0.042 * r_star, form
+                else:
+                    escapes += 1
+                    assert event.mu_accepted >= 16.0 * r_star, form
+        assert (escapes, certifications) == (ESCAPE_COUNTS[k][form], 6), form
+
+
+# BDCA+'s direct-search invocations per start at k = 8, by formulation.
+DFO_INVOCATIONS = {"MsscProblem": [4, 3, 5, 4, 4, 6], "CentredMssc": [4, 3, 6, 5, 4, 6]}
 
 
 def test_bdca_plus_moves_the_empty_centroids_at_k8(cluster_runs):
-    runs = cluster_runs[8]
-    assert [empty for _, _, empty in runs["BDCA+"]] == EMPTY[8]["BDCA+"]
-    assert [res.dfo_invocations for res, _, _ in runs["BDCA+"]] == [4, 3, 5, 4, 4, 6]
-    for (plus, passed, _), (dca, _, _) in zip(runs["BDCA+"], runs["DCA"]):
-        assert plus.termination is Termination.D_STATIONARY_CERTIFIED and passed
-        assert plus.final_phi < dca.final_phi
+    for form in FORMULATIONS:
+        runs = cluster_runs[form, 8]
+        assert [empty for _, _, empty in runs["BDCA+"]] == EMPTY[8]["BDCA+"], form
+        assert [res.dfo_invocations for res, _, _ in runs["BDCA+"]] == DFO_INVOCATIONS[form]
+        for (plus, passed, _), (dca, _, _) in zip(runs["BDCA+"], runs["DCA"]):
+            assert plus.termination is Termination.D_STATIONARY_CERTIFIED and passed, form
+            assert plus.final_phi < dca.final_phi, form
 
 
 def test_bdca_plus_ends_at_one_objective_from_every_start_at_k4(cluster_runs):
-    runs = cluster_runs[4]
     best = 1.941868
-    plus = [res.final_phi for res, _, _ in runs["BDCA+"]]
-    assert all(abs(phi - best) < 1e-6 for phi in plus)
-    assert max(plus) - min(plus) < 1e-9
-    for res, passed, _ in runs["BDCA+"]:
-        assert res.termination is Termination.D_STATIONARY_CERTIFIED and passed
-    above = [res.final_phi > best + 1e-6 for res, _, _ in runs["DCA"]]
-    assert above == [False, True, True, True, True, True]
-    assert abs(runs["DCA"][0][0].final_phi - best) < 1e-6
+    for form in FORMULATIONS:
+        runs = cluster_runs[form, 4]
+        plus = [res.final_phi for res, _, _ in runs["BDCA+"]]
+        assert all(abs(phi - best) < 1e-6 for phi in plus), form
+        assert max(plus) - min(plus) < 1e-9, form
+        for res, passed, _ in runs["BDCA+"]:
+            assert res.termination is Termination.D_STATIONARY_CERTIFIED and passed, form
+        above = [res.final_phi > best + 1e-6 for res, _, _ in runs["DCA"]]
+        assert above == [False, True, True, True, True, True], form
+        assert abs(runs["DCA"][0][0].final_phi - best) < 1e-6, form
 
 
 def test_a_dc_step_on_clustering_is_a_damped_lloyd_step():
@@ -327,15 +349,19 @@ def test_lloyd_takes_fewer_iterations_than_bdca_and_bdca_fewer_than_dca(
 ):
     problem = cluster_problems[k]
     lloyd = [_lloyd(problem, draw_start(problem, 0, i)) for i in range(6)]
-    runs = {name: [res for res, _, _ in cluster_runs[k][name]] for name in ("DCA", "BDCA")}
-    median = {name: statistics.median(r.n_iterations for r in rows) for name, rows in runs.items()}
-    assert statistics.median(its for its, _ in lloyd) < median["BDCA"] < median["DCA"]
-    at_dca = [
-        i
-        for i, ((_, x), dca) in enumerate(zip(lloyd, runs["DCA"]))
-        if abs(eval_phi(problem, x) - dca.final_phi) <= 1e-9
-    ]
-    assert at_dca == LLOYD_AT_DCA[k]
+    for form in FORMULATIONS:
+        runs = cluster_runs[form, k]
+        its = {
+            name: statistics.median(r.n_iterations for r, _, _ in runs[name])
+            for name in ("DCA", "BDCA")
+        }
+        assert statistics.median(n for n, _ in lloyd) < its["BDCA"] < its["DCA"], form
+        at_dca = [
+            i
+            for i, ((_, x), (dca, _, _)) in enumerate(zip(lloyd, runs["DCA"]))
+            if abs(eval_phi(problem, x) - dca.final_phi) <= 1e-9
+        ]
+        assert at_dca == LLOYD_AT_DCA[k], form
 
 
 def _counting(problem):

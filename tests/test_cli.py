@@ -226,15 +226,12 @@ def test_solve_non_finite_parameter_is_usage_error(capsys, argv, name):
     assert f"{name} must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "flags", [["--eta", "0", "--tau", "0"], ["--mu-bar", "1e308"]], ids=["zero", "overflow"]
-)
+@pytest.mark.parametrize("flags", [["--mu-bar", "1e308"]], ids=["overflow"])
 def test_solve_first_escape_radius_outside_the_open_range_is_usage_error(capsys, flags):
-    # Unchecked, radius 0 certifies (0, -1), which is not d-stationary,
-    # and radius inf is blamed on the oracles (exit 1).
+    # Unchecked, radius inf is blamed on the oracles (exit 1).
     code = run_cli("solve", "--problem", "example2d", "--algo", "bdca+", "--x0=0,1", *flags)
     assert code == 2
-    assert "eta*mu_bar + tau" in capsys.readouterr().err
+    assert "mu_bar/beta2 + eps2" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ check
@@ -596,6 +593,24 @@ def test_negative_seed_is_usage_error_naming_the_flag(tmp_path, monkeypatch, cap
 def test_removed_options_are_usage_errors(argv, capsys):
     assert run_cli(*argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--eta", "--tau"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--problem", "example2d", "--algo", "bdca+", "--x0=0,1", "--json"],
+        ["table1", "--starts", "2", "--csv", "counts.csv", "--json"],
+        ["cluster", "--blobs", "2x10", "--k", "2", "--starts", "1", "--csv", "pairs.csv", "--json"],
+    ],
+    ids=["solve", "table1", "cluster"],
+)
+def test_direct_search_growth_flags_are_usage_errors(tmp_path, capsys, argv, flag):
+    # The direct search re-enters at mu/beta2 + eps2, with no flag of its own.
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    assert run_cli(*argv, str(tmp_path / "out.json"), flag, "1e-3") == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------- solver parameters

@@ -53,17 +53,25 @@ def test_eval_phi_rejects_non_finite(example2d):
 
 
 def test_params_derived_defaults():
-    p = SolverParams()
-    assert p.eta == 1.0 / p.beta2 == 2.0
-    assert p.tau == p.eps2 == 1e-4
-    assert (p.alpha, p.eps1, p.mu_bar, p.gamma, p.lambda_bar1, p.beta1) == (
-        1e-4,
-        1e-8,
-        10.0,
-        2.0,
-        10.0,
-        0.25,
-    )
+    # No field defaults to a value derived from another: the direct search
+    # re-enters at mu/beta2 + eps2 from beta2 and eps2 themselves.
+    assert dataclasses.asdict(SolverParams()) == {
+        "alpha": 1e-4,
+        "beta1": 0.25,
+        "beta2": 0.5,
+        "eps1": 1e-8,
+        "eps2": 1e-4,
+        "mu_bar": 10.0,
+        "gamma": 2.0,
+        "lambda_bar1": 10.0,
+        "max_iter": 10000,
+    }
+
+
+def test_params_take_no_growth_factor_or_offset_for_the_direct_search():
+    for name in ("eta", "tau"):
+        with pytest.raises(TypeError, match=name):
+            SolverParams(**{name: 2.0})
 
 
 @pytest.mark.parametrize(
@@ -79,8 +87,9 @@ def test_params_derived_defaults():
         {"lambda_bar1": 0.0},
         {"max_iter": 0},
         {"eps1": -1e-9},
-        {"eta": -1.0},
-        {"tau": -1e-9},
+        # Checked before the first radius, which divides by beta2.
+        {"beta2": 0.0},
+        {"mu_bar": 0.0},
     ],
 )
 def test_params_validation(kwargs):
@@ -106,13 +115,13 @@ def test_params_reject_a_max_iter_that_is_not_an_integer(value):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"eta": 0.0, "tau": 0.0}, {"mu_bar": 1e308}],
-    ids=["zero", "overflow"],
+    [{"mu_bar": 1e308}, {"beta2": 1e-300, "mu_bar": 1e10}],
+    ids=["overflow", "overflow_by_beta2"],
 )
 def test_params_reject_a_first_escape_radius_outside_the_open_range(kwargs):
-    # At radius 0 every probe is the stall point and any point is
-    # "certified"; at radius inf every probe overflows.
-    with pytest.raises(ValueError, match=r"eta\*mu_bar \+ tau must be positive and finite"):
+    # At radius inf every probe overflows.  The radius is positive, as
+    # mu_bar and eps2 are.
+    with pytest.raises(ValueError, match=r"mu_bar/beta2 \+ eps2 must be finite"):
         SolverParams(**kwargs)
 
 

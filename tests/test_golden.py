@@ -23,6 +23,28 @@ GOLDEN = {
             "trace.csv": "4887797bc5549ae6d76e9434f2d482561d4a630055d17a17056c86c99182ccbf",
         },
     ),
+    # A shrink factor that is not a power of two: each entry to the direct
+    # search starts at mu/beta2 + eps2, whose bits these pin.
+    "solve_example2d_beta2": (
+        ["solve", "--problem", "example2d", "--algo", "bdca+", "--x0=0,1",
+         "--beta2", "0.3", "--eps2", "1e-3", "--mu-bar", "3",
+         "--json", "run.json", "--trace-csv", "trace.csv"],
+        0,
+        {
+            "run.json": "d68d96296ef01e29395a2e3d95ac27957e9d4f1825fac079a5cce2cdf47c0d9f",
+            "trace.csv": "d62cf89943fff907a42d6ff4bdd97616a47e7047b4fdf8a7dd7359722f90ac86",
+        },
+    ),
+    "solve_mssc_beta2": (
+        ["solve", "--problem", "mssc", "--algo", "bdca+", "--blobs", "3x30",
+         "--k", "4", "--seed", "0", "--beta2", "0.7", "--eps2", "1e-3",
+         "--json", "run.json", "--trace-csv", "trace.csv"],
+        0,
+        {
+            "run.json": "2fbcad0c12c12aa341ca4003cd4f2c3f4de8357b2c4d5b84b5beffb396609a85",
+            "trace.csv": "e35b8bc5b112dac9120477a21f455624a9fb39458f078618ad44c4508fa976cf",
+        },
+    ),
     "solve_mssc": (
         ["solve", "--problem", "mssc", "--algo", "bdca+", "--blobs", "3x30",
          "--k", "4", "--seed", "7", "--json", "run.json"],

@@ -242,7 +242,7 @@ def test_dfo_entry_radius_growth(example2d, params):
 
 def test_dfo_escapes_left_from_saddle_axis_point(example2d, params):
     # At (0, -1) moving left improves for radii below 2; enter just below 1.
-    state = DfoState(mu=(0.5 - params.tau) / params.eta)
+    state = DfoState(mu=(0.5 - params.eps2) * params.beta2)
     out = dfo_escape(example2d, np.array([0.0, -1.0]), D1, state, params)
     assert out.x_next is not None
     # The scan forms phi as eval_phi does: one objective, bit for bit.
