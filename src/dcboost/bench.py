@@ -149,21 +149,17 @@ class ProcessPoolExecutor:
         return self._pool.map(fn, *iterables)
 
 
-def _chunk_ranges(n: int, n_chunks: int) -> list[tuple[int, int]]:
-    n_chunks = max(1, min(n_chunks, n))
-    bounds = np.linspace(0, n, n_chunks + 1, dtype=int)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(n_chunks)]
-
-
 def _run_chunks(task, n_starts: int, workers: int) -> list[dict]:
-    """Run ``task`` over index ranges and concatenate, order-preserving."""
+    """Run ``task`` over index ranges and concatenate, order-preserving; with
+    more than one worker, over ``min(4 * workers, n_starts)`` integer splits."""
     if workers <= 1:
         return task((0, n_starts))
-    ranges = _chunk_ranges(n_starts, workers * 4)
+    n_chunks = min(4 * workers, n_starts)
+    bounds = [n_starts * c // n_chunks for c in range(n_chunks + 1)]
     results: list[dict] = []
     # The pool starts all its processes at the first submit: no more than chunks.
-    with ProcessPoolExecutor(max_workers=min(workers, len(ranges))) as ex:
-        for part in ex.map(task, ranges):
+    with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as ex:
+        for part in ex.map(task, zip(bounds, bounds[1:])):
             results.extend(part)
     return results
 
@@ -204,7 +200,8 @@ def _run_starts(
 ) -> list[dict]:
     """Per start index in ``bounds``, one summary per algorithm, all from
     the index's :func:`draw_start`; end points are labelled against
-    ``refs`` when given."""
+    ``refs`` when given.  Each run is dropped once it is summarised, so
+    one run's iteration records at most are alive at a time."""
     pss = make_pss(pss_kind, problem.dim)
     rows = []
     for i in range(*bounds):
@@ -223,6 +220,7 @@ def _run_starts(
                 termination=res.termination,
                 label=None if refs is None else classify_limit_point(res.final_point, refs),
             )
+            del res
         rows.append(per)
     return rows
 

@@ -312,7 +312,8 @@ def dfo_escape(
             if not math.isfinite(phi_trial):
                 rejected += 1
             elif phi_trial < phi_y - _DFO_ACCEPT_GUARD * (guard_y + (abs(g) + abs(h))):
-                x_next, phi_next, index = trial, phi_trial, i
+                # A copy, so the run's records keep one row, not the radius's probes.
+                x_next, phi_next, index = trial.copy(), phi_trial, i
                 break
         if index is not None or mu <= params.eps2:
             break

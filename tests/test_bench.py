@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 import dcboost.bench
 
-from dcboost import Example2dProblem, MsscProblem, classify_limit_point
+from dcboost import Example2dProblem, MsscProblem, classify_limit_point, generate_blobs
 from dcboost.bench import (
     LABEL_TOL,
     UNCLASSIFIED,
@@ -199,7 +201,7 @@ def test_pairwise_deterministic_and_worker_independent(small_blobs):
 
 
 def test_pool_has_no_more_processes_than_chunks(monkeypatch):
-    sizes = []
+    sizes, mapped = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -212,12 +214,54 @@ def test_pool_has_no_more_processes_than_chunks(monkeypatch):
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            mapped.append(items)
             return map(fn, items)
 
     monkeypatch.setattr(dcboost.bench, "ProcessPoolExecutor", SerialPool)
     report = run_table1(2, seed=0, workers=64)
-    assert sizes == [2]
+    assert sizes == [2] and mapped == [[(0, 1), (1, 2)]]
     assert report.to_dict() == run_table1(2, seed=0).to_dict()
+    for n in (1, 3, 7, 8, 3000):
+        serial = run_table1(n, seed=0).to_dict() if n < 3000 else None
+        for workers in (2, 3, 8):
+            sizes.clear()
+            mapped.clear()
+            if serial is None:
+                # Too many starts to solve here: a task that lists its range.
+                starts = dcboost.bench._run_chunks(lambda b: list(range(*b)), n, workers)
+                assert starts == list(range(n))
+            else:
+                assert run_table1(n, seed=0, workers=workers).to_dict() == serial
+            (ranges,) = mapped
+            n_chunks = min(4 * workers, n)
+            assert len(ranges) == n_chunks and sizes == [min(workers, n_chunks)]
+            assert ranges[0][0] == 0 and ranges[-1][1] == n
+            assert all(lo < hi for lo, hi in ranges)
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+
+
+def test_no_two_solver_runs_are_alive_together(monkeypatch):
+    # A finished run holds its whole iteration trail; the harness keeps its
+    # summary only, so no earlier run may be alive when the next starts.
+    runs, alive_at_start = [], []
+    for name in ("run_dca", "run_bdca", "run_bdca_plus"):
+
+        def watched(*args, _run=getattr(dcboost.bench, name)):
+            gc.collect()
+            alive_at_start.append(sum(ref() is not None for ref in runs))
+            res = _run(*args)
+            runs.append(weakref.ref(res))
+            return res
+
+        monkeypatch.setattr(dcboost.bench, name, watched)
+    run_table1(3, 0)
+    assert alive_at_start == [0] * 9
+    runs.clear()
+    alive_at_start.clear()
+    blobs = generate_blobs(3, 30, spread=0.6, seed=11)
+    run_pairwise_mssc(MsscProblem(blobs, 2), n_starts=3, seed=0)
+    assert alive_at_start == [0] * 6
 
 
 def test_runners_called_by_module_name_once_per_start(monkeypatch, small_blobs, tmp_path):

@@ -14,10 +14,16 @@ still crash or miscount a benchmark run:
   alpha, beta1)`` and ``dfo_escape(problem, y, pss, DfoState(mu=...),
   params)`` positionally;
 * ``launch.install_probe`` subclasses ``bench.ProcessPoolExecutor`` and
-  reads the solvers' arguments after ``(problem, x0)`` by position.
+  reads the solvers' arguments after ``(problem, x0)`` by position;
+* ``launch.run_work`` reads a finished run's ``iterations`` and, per
+  record, ``dfo_event`` (``mu_tried``, ``mu_accepted``,
+  ``direction_index``), ``lambda_trial`` and ``lambda_k``, and
+  ``launch.Probe.record`` reads its ``termination.value`` and
+  ``final_phi``.
 """
 
 import inspect
+import math
 
 import numpy as np
 
@@ -25,6 +31,7 @@ import dcboost.bench
 from dcboost import Example2dProblem, SolverParams, make_d1, run_bdca, run_bdca_plus, run_dca
 from dcboost import solvers
 from dcboost.bench import run_table1
+from dcboost.core import Termination
 from dcboost.solvers import DfoState, armijo_backtrack, dca_step, dfo_escape
 
 D1 = make_d1(2)
@@ -93,3 +100,20 @@ def test_the_pool_is_a_class_a_caller_can_subclass(monkeypatch):
     report = run_table1(2, seed=0, workers=2)
     assert made == [{"max_workers": 2}]
     assert report.to_dict() == run_table1(2, seed=0).to_dict()
+
+
+def test_a_finished_run_has_what_the_launcher_reads():
+    # This run escapes once, then certifies: both kinds of direct search.
+    res = run_bdca_plus(Example2dProblem(), np.array([0.0, 1.0]))
+    escape, certify = [rec.dfo_event for rec in res.iterations if rec.dfo_event is not None]
+    assert escape.mu_accepted == escape.mu_tried[-1]
+    assert 0 <= escape.direction_index < D1.directions.shape[0]
+    assert certify.mu_accepted is None and certify.direction_index is None
+    assert len(certify.mu_tried) > 1
+    searched = [rec for rec in res.iterations if rec.dfo_event is None]
+    assert any(rec.lambda_trial > 0.0 for rec in searched)
+    assert all(0.0 <= rec.lambda_k <= rec.lambda_trial for rec in searched)
+    # Probe.record compares the termination's value with these strings.
+    assert res.termination.value == "DStationaryCertified"
+    assert Termination.MAX_ITERATIONS.value == "MaxIterations"
+    assert math.isfinite(res.final_phi)

@@ -251,6 +251,8 @@ def test_dfo_escapes_left_from_saddle_axis_point(example2d, params):
     mu = out.event.mu_accepted
     assert mu == pytest.approx(0.5, abs=1e-12)
     assert np.allclose(out.x_next, [-mu, -1.0])
+    # Its own array, not a row of the radius's probes: the run keeps it.
+    assert out.x_next.base is None and out.x_next.shape == (2,)
     assert state.mu == mu  # accepted radius is kept for the next entry
     # Hand expansion: phi(-mu, -1) - phi(0, -1) = mu^2 - 2 mu < 0.
     assert out.phi_next == pytest.approx(-1.0 + mu**2 - 2.0 * mu, abs=1e-12)
