@@ -11,6 +11,7 @@ but are the one field excluded from that contract.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -32,6 +33,8 @@ from dcboost.problems.example2d import CRITICAL_POINTS, Example2dProblem
 from dcboost.solvers import run_bdca, run_bdca_plus, run_dca
 from dcboost.spanning import PositiveSpanningSet, make_pss
 
+log = logging.getLogger(__name__)
+
 __all__ = [
     "ALGORITHMS",
     "LABEL_TOL",
@@ -47,6 +50,7 @@ __all__ = [
 ]
 
 ALGORITHMS = ("DCA", "BDCA", "BDCA+")
+PAIRED = ("DCA", "BDCA+")
 UNCLASSIFIED = "unclassified"
 #: An end point takes a reference's label within this Euclidean distance.
 LABEL_TOL = 1e-3
@@ -150,8 +154,9 @@ class ProcessPoolExecutor:
 
 
 def _run_chunks(task, n_starts: int, workers: int) -> list[dict]:
-    """Run ``task`` over index ranges and concatenate, order-preserving; with
-    more than one worker, over ``min(4 * workers, n_starts)`` integer splits."""
+    """Run ``task`` over index ranges and concatenate its per-start rows in
+    start order, for :func:`_multistart`; with more than one worker, over
+    ``min(4 * workers, n_starts)`` integer splits."""
     if workers <= 1:
         return task((0, n_starts))
     n_chunks = min(4 * workers, n_starts)
@@ -225,12 +230,28 @@ def _run_starts(
     return rows
 
 
-def _multistart_params(n_starts: int, workers: int, params: Optional[SolverParams]) -> SolverParams:
-    """Check the start and worker counts; ``params`` or the defaults, made
-    once for all runs."""
-    as_count(n_starts, "n_starts")
+def _multistart(
+    chunk, algorithms: Sequence[str], n_starts: int, workers: int,
+    params: Optional[SolverParams], **chunk_args,
+) -> dict[str, list[StartSummary]]:
+    """Each algorithm's summaries in start order, from ``chunk`` run over
+    ``n_starts`` starts by :func:`_run_chunks` with ``params`` (or the
+    defaults, made once for all runs) and ``chunk_args``; both counts are
+    checked first.  Runs stopped at ``params.max_iter`` are logged, one
+    warning per algorithm naming their starts."""
+    n_starts = as_count(n_starts, "n_starts")
     as_count(workers, "workers")
-    return SolverParams() if params is None else params
+    params = SolverParams() if params is None else params
+    rows = _run_chunks(partial(chunk, params=params, **chunk_args), n_starts, workers)
+    runs = {a: [per[a] for per in rows] for a in algorithms}
+    for algo, summaries in runs.items():
+        capped = [s.index for s in summaries if s.termination is Termination.MAX_ITERATIONS]
+        if capped:
+            log.warning(
+                "%s stopped at max_iter=%d in %d of %d runs (start indices %s)",
+                algo, params.max_iter, len(capped), n_starts, ", ".join(map(str, capped)),
+            )
+    return runs
 
 
 def _table1_chunk(
@@ -258,18 +279,13 @@ def run_table1(
     each run converged to (within :data:`LABEL_TOL`; anything else lands
     in the "unclassified" bucket).
     """
-    params = _multistart_params(n_starts, workers, params)
-    task = partial(_table1_chunk, seed=seed, params=params, pss_kind=pss_kind)
-    rows = _run_chunks(task, n_starts, workers)
+    runs = _multistart(
+        _table1_chunk, ALGORITHMS, n_starts, workers, params, seed=seed, pss_kind=pss_kind
+    )
     labels = [label for label, _ in CRITICAL_POINTS] + [UNCLASSIFIED]
-    runs: dict[str, list[StartSummary]] = {a: [] for a in ALGORITHMS}
-    counts: dict[str, dict[str, int]] = {
-        a: {label: 0 for label in labels} for a in ALGORITHMS
-    }
-    for per in rows:
-        for algo in ALGORITHMS:
-            s = per[algo]
-            runs[algo].append(s)
+    counts = {a: dict.fromkeys(labels, 0) for a in ALGORITHMS}
+    for algo, summaries in runs.items():
+        for s in summaries:
             counts[algo][s.label] += 1
     return MultiStartReport(runs=runs, basin_counts=counts)
 
@@ -281,7 +297,7 @@ def _pairwise_chunk(
     params: SolverParams,
     pss_kind: str,
 ) -> list[dict]:
-    return _run_starts(bounds, problem, ("DCA", "BDCA+"), seed, params, pss_kind)
+    return _run_starts(bounds, problem, PAIRED, seed, params, pss_kind)
 
 
 def run_pairwise_mssc(
@@ -299,22 +315,13 @@ def run_pairwise_mssc(
     objective gap ``phi_dca - phi_bdca_plus`` descending.  With
     ``workers > 1`` each chunk of starts gets a pickled copy of ``problem``.
     """
-    params = _multistart_params(n_starts, workers, params)
-    task = partial(
-        _pairwise_chunk, problem=problem, seed=seed, params=params, pss_kind=pss_kind
+    runs = _multistart(
+        _pairwise_chunk, PAIRED, n_starts, workers, params,
+        problem=problem, seed=seed, pss_kind=pss_kind,
     )
-    rows = _run_chunks(task, n_starts, workers)
-    runs: dict[str, list[StartSummary]] = {"DCA": [], "BDCA+": []}
     pairs: list[PairRow] = []
-    for per in rows:
-        a, b = per["DCA"], per["BDCA+"]
-        runs["DCA"].append(a)
-        runs["BDCA+"].append(b)
-        ratio = (
-            a.wall_time / b.wall_time
-            if (a.wall_time and b.wall_time and b.wall_time > 0)
-            else None
-        )
+    for a, b in zip(runs["DCA"], runs["BDCA+"]):
+        ratio = a.wall_time / b.wall_time if a.wall_time and b.wall_time > 0 else None
         pairs.append(
             PairRow(
                 instance=a.index,

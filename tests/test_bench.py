@@ -10,6 +10,7 @@ import dcboost.bench
 
 from dcboost import Example2dProblem, MsscProblem, classify_limit_point, generate_blobs
 from dcboost.bench import (
+    ALGORITHMS,
     LABEL_TOL,
     UNCLASSIFIED,
     make_pss,
@@ -18,7 +19,7 @@ from dcboost.bench import (
     run_table1,
 )
 from dcboost.cli import main
-from dcboost.core import Termination
+from dcboost.core import SolverParams, Termination
 from dcboost.problems.example2d import CRITICAL_POINTS
 
 REFS = [(label, np.asarray(p)) for label, p in CRITICAL_POINTS]
@@ -87,8 +88,11 @@ def test_classify_applies_the_checker_rule_on_the_label_circle():
 
 
 def test_spec_validation(small_blobs):
-    with pytest.raises(ValueError):
-        run_pairwise_mssc(MsscProblem(small_blobs, 2), n_starts=0, seed=0)
+    for n_starts in (0, True, 2.0):
+        with pytest.raises(ValueError, match="n_starts must be an integer >= 1"):
+            run_pairwise_mssc(MsscProblem(small_blobs, 2), n_starts=n_starts, seed=0)
+        with pytest.raises(ValueError, match="n_starts must be an integer >= 1"):
+            run_table1(n_starts, seed=0)
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers must be an integer >= 1"):
             run_pairwise_mssc(MsscProblem(small_blobs, 2), n_starts=1, seed=0, workers=workers)
@@ -200,7 +204,10 @@ def test_pairwise_deterministic_and_worker_independent(small_blobs):
         )
 
 
-def test_pool_has_no_more_processes_than_chunks(monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """The harness's pool, run in this process: the sizes it is started
+    with and the ranges it maps are recorded."""
     sizes, mapped = [], []
 
     class SerialPool:
@@ -219,6 +226,11 @@ def test_pool_has_no_more_processes_than_chunks(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(dcboost.bench, "ProcessPoolExecutor", SerialPool)
+    return sizes, mapped
+
+
+def test_pool_has_no_more_processes_than_chunks(serial_pool):
+    sizes, mapped = serial_pool
     report = run_table1(2, seed=0, workers=64)
     assert sizes == [2] and mapped == [[(0, 1), (1, 2)]]
     assert report.to_dict() == run_table1(2, seed=0).to_dict()
@@ -239,6 +251,46 @@ def test_pool_has_no_more_processes_than_chunks(monkeypatch):
             assert ranges[0][0] == 0 and ranges[-1][1] == n
             assert all(lo < hi for lo, hi in ranges)
             assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+
+
+def test_harness_calls_behind_the_traced_spans(monkeypatch, serial_pool):
+    # benchmarks/tracing.py times these module globals as the bench.pool,
+    # bench.chunk and bench.classify spans, whose counts the seed-0
+    # fingerprint pins; each is looked up by name at call time.
+    calls = Counter()
+    for name in ("_run_chunks", "_table1_chunk", "_pairwise_chunk", "classify_limit_point"):
+
+        def counted(*args, _f=getattr(dcboost.bench, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(dcboost.bench, name, counted)
+    _, mapped = serial_pool
+    run_table1(5, 0, workers=2)
+    assert len(mapped[0]) == 5
+    assert calls == {"_run_chunks": 1, "_table1_chunk": 5, "classify_limit_point": 15}
+    calls.clear()
+    mapped.clear()
+    blobs = generate_blobs(3, 30, spread=0.6, seed=11)
+    run_pairwise_mssc(MsscProblem(blobs, 2), n_starts=3, seed=0, workers=2)
+    assert len(mapped[0]) == 3
+    assert calls == {"_run_chunks": 1, "_pairwise_chunk": 3}
+
+
+def test_runs_stopped_at_max_iter_are_logged(caplog):
+    with caplog.at_level("WARNING"):
+        report = run_table1(3, 0, SolverParams(max_iter=2))
+    assert all(
+        s.termination is Termination.MAX_ITERATIONS for runs in report.runs.values() for s in runs
+    )
+    assert caplog.messages == [
+        f"{algo} stopped at max_iter=2 in 3 of 3 runs (start indices 0, 1, 2)"
+        for algo in ALGORITHMS
+    ]
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        run_table1(3, 0)
+    assert caplog.messages == []
 
 
 def test_no_two_solver_runs_are_alive_together(monkeypatch):
